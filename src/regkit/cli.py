@@ -122,6 +122,12 @@ def _parse_layers(text: str) -> list[LayerSpec]:
 
 def _run_ols_fit(args) -> int:
     schema = _schema(args)
+    gd_config = None
+    if args.method == "gd" or args.fallback_gd:
+        try:
+            gd_config = GdConfig(args.epsilon, args.max_iters)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     features, targets = load_csv(args.data, schema)
     features, fstats = normalize(features, columns=schema.feature_columns)
     targets, tstats = normalize(targets, columns=schema.target_columns)
@@ -134,10 +140,10 @@ def _run_ols_fit(args) -> int:
             if not args.fallback_gd:
                 raise
             print(f"analytic solve failed ({exc}); falling back to gd", file=sys.stderr)
-            model, trace = solve_gd(problem, GdConfig(args.epsilon, args.max_iters))
+            model, trace = solve_gd(problem, gd_config)
             print(f"gd fallback: {trace.iterations} iterations, converged={trace.converged}")
     else:
-        model, trace = solve_gd(problem, GdConfig(args.epsilon, args.max_iters))
+        model, trace = solve_gd(problem, gd_config)
         print(f"gd: {trace.iterations} iterations, converged={trace.converged}, "
               f"last step norm {trace.final_step_norm:.3e}")
     save_model(args.out, model, fstats, tstats)

@@ -3,10 +3,12 @@
 Two solvers are provided.  ``solve_analytic`` forms the normal equations
 ``B (X^T X) = Y X`` from the design matrix X (one sample per row, with a
 trailing bias column of ones) and the target matrix Y (one sample per
-column) and inverts ``Z = X^T X`` directly.  ``solve_gd`` minimizes the
-same sum of squared residuals iteratively with Barzilai-Borwein step
-sizes, which also works when Z is singular or nearly so.  The iteration
-is full batch: every step uses all training samples.
+column) and solves them with LAPACK, after a Cholesky factorization of
+``Z = X^T X`` has shown Z to be numerically positive definite; Z is never
+inverted.  ``solve_gd`` minimizes the same sum of squared residuals
+iteratively with Barzilai-Borwein step sizes, which also works when Z is
+singular or nearly so.  The iteration is full batch: every step uses all
+training samples.
 """
 
 from __future__ import annotations
@@ -134,17 +136,33 @@ def _sample_block(values, what: str) -> np.ndarray:
 
 
 def solve_analytic(problem: OlsProblem) -> OlsModel:
-    """Coefficients from the normal equations: ``B = Y X (X^T X)^{-1}``."""
+    """Coefficients from the normal equations ``B Z = Y X`` with ``Z = X^T X``.
+
+    Raises SingularMatrixError when Z is not numerically positive
+    definite: its Cholesky factorization fails, or a squared pivot
+    ``L_ii^2`` falls below ``linalg.SINGULARITY_RTOL * Z_ii``, i.e. column
+    i of X is within that relative distance of the span of the columns
+    before it.  The forward error of B is of order ``cond(X)^2`` times the
+    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 20).
+    """
     x, y = problem.x_design, problem.y_targets
-    z = linalg.matmul(linalg.transpose(x), x)
+    z = x.T @ x
     try:
-        z_inv = linalg.inverse(z)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"normal matrix X^T X is singular ({exc}); use the iterative "
-            "solver solve_gd, which does not require invertibility"
-        ) from None
-    return OlsModel(linalg.matmul(linalg.matmul(y, x), z_inv))
+        pivots = np.diagonal(np.linalg.cholesky(z)) ** 2
+    except np.linalg.LinAlgError:
+        reason = "Cholesky factorization failed"
+    else:
+        weak = np.flatnonzero(pivots < linalg.SINGULARITY_RTOL * np.diagonal(z))
+        if weak.size == 0:
+            return OlsModel(np.linalg.solve(z, (y @ x).T).T)
+        i = int(weak[0])
+        reason = (f"Cholesky pivot L_ii^2 = {pivots[i]:.3g} at column {i} is below "
+                  f"{linalg.SINGULARITY_RTOL:g} of Z_ii = {z[i, i]:.3g}")
+    raise SingularMatrixError(
+        f"normal matrix X^T X is singular ({reason}); use the iterative "
+        "solver solve_gd, which does not require invertibility"
+    )
 
 
 def bb_learning_rate(l_step, z) -> float:
@@ -152,13 +170,26 @@ def bb_learning_rate(l_step, z) -> float:
 
     ``l_step`` is the difference of successive coefficient iterates and
     ``z`` the normal matrix.  Raises DegenerateStepError when ``L Z`` is
-    zero, i.e. the iterate did not move.
+    zero, i.e. the iterate did not move, and ValueError when the rate is
+    not finite, e.g. for non-finite input.
     """
-    lz = linalg.matmul(l_step, z)
-    denom = linalg.frobenius_norm(lz)
+    l_step = np.asarray(l_step, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if l_step.ndim != 2 or l_step.size == 0 or z.shape != (l_step.shape[1],) * 2:
+        raise ShapeError(f"cannot form the rate of a {l_step.shape} step and a {z.shape} matrix")
+    lz = l_step @ z
+    denom = _frobenius_norm(lz)
     if denom == 0.0:
         raise DegenerateStepError("rate undefined: ||L Z|| = 0 (iterate did not move)")
-    return abs(linalg.frobenius_inner(l_step, lz)) / (2.0 * denom * denom)
+    rate = abs(float(np.sum(l_step * lz))) / (2.0 * denom * denom)
+    if not np.isfinite(rate):
+        raise ValueError(f"rate is not finite ({rate}); ||L Z|| = {denom:g}")
+    return rate
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
+    # The expression linalg.frobenius_norm evaluates, without its input checks.
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def default_guesses(problem: OlsProblem) -> tuple[np.ndarray, float]:
@@ -209,7 +240,7 @@ def solve_gd(
     l_step = b - b_prev
     iterations = 1
 
-    while linalg.frobenius_norm(l_step) > config.epsilon and iterations < config.max_iterations:
+    while _frobenius_norm(l_step) > config.epsilon and iterations < config.max_iterations:
         try:
             gamma = bb_learning_rate(l_step, z)
         except DegenerateStepError:
@@ -224,7 +255,7 @@ def solve_gd(
         l_step = b - b_prev
         iterations += 1
 
-    final_norm = linalg.frobenius_norm(l_step)
+    final_norm = _frobenius_norm(l_step)
     trace = GdTrace(iterations, final_norm, final_norm < config.epsilon)
     return OlsModel(b), trace
 

@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import regkit
 from regkit.cli import cli_main
 from regkit.model_io import load_model, predict_rows
 
@@ -82,6 +88,22 @@ class TestOlsFit:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--epsilon", "-1")])
+    @pytest.mark.parametrize("path", [["--method", "gd"], ["--fallback-gd"]],
+                             ids=["gd", "fallback"])
+    def test_bad_gd_setting_exits_1(self, tmp_path, capsys, flag, value, path):
+        # Singular data, so --fallback-gd would reach the gd solver.
+        data = tmp_path / "dup.csv"
+        data.write_text("a,b,y\n1,1,1\n2,2,2\n3,3,4\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        code = cli_main([
+            "ols-fit", "--data", str(data), "--features", "a,b", "--targets", "y",
+            *path, flag, value, "--out", str(out),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = cli_main([
             "ols-fit", "--data", str(tmp_path / "nope.csv"), "--features", "x",
@@ -149,6 +171,43 @@ class TestAnnTrain:
         assert cli_main(args + ["--out", str(out1)]) == 0
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestBlasThreads:
+    def test_analytic_fit_agrees_across_blas_thread_counts(self, tmp_path):
+        # The BLAS thread count changes how X^T X and the LAPACK solve
+        # accumulate, so model bytes are reproducible only at a fixed count.
+        # Across counts the coefficients must still agree to 1e-9 relative
+        # (normwise); this design has cond(X) of about 600, for which the
+        # normal equations are accurate to about 1e-11.
+        rng = np.random.default_rng(15)
+        p, n = 300, 100
+        x = rng.normal(size=(p, 20)) @ rng.normal(size=(20, n)) + 0.05 * rng.normal(size=(p, n))
+        y = x @ rng.normal(size=(n, 2)) + rng.normal(size=(p, 2))
+        names = [f"x{i}" for i in range(n)]
+        lines = [",".join(names + ["y0", "y1"])]
+        lines += [",".join(repr(float(v)) for v in row) for row in np.hstack([x, y])]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = str(Path(regkit.__file__).resolve().parents[1])
+
+        def fit(threads, out):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "regkit.cli", "ols-fit", "--data", str(data),
+                 "--features", ",".join(names), "--targets", "y0,y1", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return load_model(out).ols.b
+
+        one = fit(1, tmp_path / "t1.json")
+        two = fit(2, tmp_path / "t2.json")
+        fit(2, tmp_path / "t2b.json")
+        assert (tmp_path / "t2.json").read_bytes() == (tmp_path / "t2b.json").read_bytes()
+        assert np.linalg.norm(one - two) <= 1e-9 * np.linalg.norm(one)
 
 
 class TestPredictCommand:

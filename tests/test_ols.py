@@ -25,6 +25,19 @@ def _random_problem(rng, m=2, n=3, p=50, noise=0.0):
     return build_problem(features, targets), b_true
 
 
+def _conditioned_features(rng, p, n, kappa):
+    """Features ``U S V^T`` whose design ``[features, 1]`` has condition number kappa.
+
+    U is orthogonal to the bias column, and the singular values in S run
+    geometrically from sqrt(p), the norm of the bias column, down to
+    sqrt(p) / kappa.
+    """
+    q, _ = np.linalg.qr(np.hstack([np.ones((p, 1)), rng.normal(size=(p, n))]))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    sigma = np.sqrt(p) * np.logspace(0.0, -np.log10(kappa), n)
+    return (q[:, 1:] * sigma) @ v.T
+
+
 def _sum_of_squares(problem, b):
     residual = problem.y_targets - b @ problem.x_design.T
     return float(np.sum(residual * residual))
@@ -85,6 +98,39 @@ class TestAnalytic:
         with pytest.raises(SingularMatrixError, match="solve_gd"):
             solve_analytic(problem)
 
+    @pytest.mark.parametrize("design", ["duplicated_column", "linear_combination", "too_few_rows"])
+    def test_singular_designs_advise_gd(self, design):
+        rng = np.random.default_rng(14)
+        features = rng.normal(size=(30, 3))
+        if design == "duplicated_column":
+            features[:, 2] = features[:, 0]
+        elif design == "linear_combination":  # of two features and the bias column
+            features[:, 2] = features[:, 0] - 3.0 * features[:, 1] + 1.5
+        else:  # 3 samples, 4 unknowns per target
+            features = features[:3]
+        problem = build_problem(features, rng.normal(size=(features.shape[0], 2)))
+        with pytest.raises(SingularMatrixError, match="solve_gd"):
+            solve_analytic(problem)
+
+    @pytest.mark.parametrize("kappa", [1e1, 1e3, 1e5])
+    def test_forward_error_within_normal_equation_bound(self, kappa):
+        # The normal equations give a relative forward error of order
+        # cond(X)^2 u (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 20), u = machine epsilon.  c = 10; the worst ratio
+        # seen over 200 seeds per kappa was 2.1, at kappa = 10.
+        c, u = 10.0, np.finfo(np.float64).eps
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        for _ in range(5):
+            features = _conditioned_features(rng, 40, 6, kappa)
+            design = np.hstack([features, np.ones((40, 1))])
+            cond = np.linalg.cond(design)
+            assert cond == pytest.approx(kappa, rel=1e-6)
+            targets = design @ rng.normal(size=(7, 2)) + 0.1 * rng.normal(size=(40, 2))
+            problem = build_problem(features, targets)
+            expected = np.linalg.lstsq(problem.x_design, targets, rcond=None)[0].T
+            error = np.linalg.norm(solve_analytic(problem).b - expected)
+            assert error <= c * cond**2 * u * np.linalg.norm(expected)
+
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -112,6 +158,12 @@ class TestBbRate:
     def test_zero_step_is_degenerate(self):
         with pytest.raises(DegenerateStepError):
             bb_learning_rate(np.zeros((2, 3)), np.eye(3))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ShapeError):
+            bb_learning_rate(np.ones((2, 3)), np.eye(4))
+        with pytest.raises(ValueError):
+            bb_learning_rate([[np.nan, 1.0]], np.eye(2))
 
     def test_identity_collapses_to_half(self):
         rng = np.random.default_rng(5)
