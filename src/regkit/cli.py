@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .activations import parse_activation
@@ -120,6 +121,22 @@ def _parse_layers(text: str) -> list[LayerSpec]:
     return specs
 
 
+def _report(*lines: str) -> None:
+    """Print progress lines; a closed stdout loses them but fails nothing.
+
+    Follows the "Note on SIGPIPE" in the ``signal`` docs: on a broken pipe,
+    stdout is pointed at ``os.devnull`` so the exit-time flush cannot fail.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _run_ols_fit(args) -> int:
     schema = _schema(args)
     gd_config = None
@@ -135,19 +152,19 @@ def _run_ols_fit(args) -> int:
     if args.method == "analytic":
         try:
             model = solve_analytic(problem)
-            print(f"fitted analytically on {problem.p} samples")
+            summary = f"fitted analytically on {problem.p} samples"
         except SingularMatrixError as exc:
             if not args.fallback_gd:
                 raise
             print(f"analytic solve failed ({exc}); falling back to gd", file=sys.stderr)
             model, trace = solve_gd(problem, gd_config)
-            print(f"gd fallback: {trace.iterations} iterations, converged={trace.converged}")
+            summary = f"gd fallback: {trace.iterations} iterations, converged={trace.converged}"
     else:
         model, trace = solve_gd(problem, gd_config)
-        print(f"gd: {trace.iterations} iterations, converged={trace.converged}, "
-              f"last step norm {trace.final_step_norm:.3e}")
+        summary = (f"gd: {trace.iterations} iterations, converged={trace.converged}, "
+                   f"last step norm {trace.final_step_norm:.3e}")
     save_model(args.out, model, fstats, tstats)
-    print(f"wrote {args.out}")
+    _report(summary, f"wrote {args.out}")
     return 0
 
 
@@ -178,11 +195,11 @@ def _run_ann_train(args) -> int:
     state = init_network(config, features.shape[1])
     state, report = train(state, train_f.T, train_t.T, val_f.T, val_t.T, config)
     save_model(args.out, state, fstats, tstats, config=config)
-    print(
+    _report(
         f"trained {report.epochs_run} epochs ({report.stop_reason}); "
-        f"final validation loss {report.epoch_losses[-1]:.6g}"
+        f"final validation loss {report.epoch_losses[-1]:.6g}",
+        f"wrote {args.out}",
     )
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -195,13 +212,13 @@ def _run_predict(args) -> int:
         writer.writerow(model.target_stats.columns)
         for row in predictions:
             writer.writerow([repr(float(value)) for value in row])
-    print(f"wrote {predictions.shape[0]} predictions to {args.out}")
+    _report(f"wrote {predictions.shape[0]} predictions to {args.out}")
     return 0
 
 
 def _run_gradcheck(args) -> int:
     worst = gradient_check(args.seed)
-    print(f"max relative error: {worst:.3e} (limit {GRADCHECK_LIMIT:.0e})")
+    _report(f"max relative error: {worst:.3e} (limit {GRADCHECK_LIMIT:.0e})")
     return 0 if worst <= GRADCHECK_LIMIT else 3
 
 

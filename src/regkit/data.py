@@ -3,13 +3,20 @@
 CSV files must be UTF-8 with a header row and '.' decimal separators.
 Loaded blocks keep one sample per row; the network's column-per-sample
 layout is a transpose away.
+
+``read_columns`` reads a file in one ``np.loadtxt`` pass.  Whatever that
+pass cannot vouch for goes to a line-by-line reader that parses each cell
+with ``float()``, so accepted files, values and error messages are that
+reader's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -59,20 +66,55 @@ def read_columns(path, columns: Sequence[str]) -> np.ndarray:
     """Read the named columns of a CSV file into a (rows, len(columns)) array.
 
     Rows come back in file order.  Errors carry file line numbers (the
-    header is line 1) and column names.
+    header is line 1) and column names.  One ``np.loadtxt`` pass reads
+    the file.  When it fails, warns (as it does on a file with no rows) or
+    finds a non-finite value, or when the file holds a quote character
+    (which splits fields differently for the csv module), the
+    line-by-line reader handles the file instead.
     """
     columns = list(columns)
+    # Any error here, the header's included, is reported by the slow reader.
+    # A quote lets the csv module keep commas or line breaks inside a field,
+    # which loadtxt would split on.
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            positions = _column_positions(path, reader, columns)
+            quoted = reader.line_num != 1 or any(
+                '"' in chunk for chunk in iter(partial(handle.read, 1 << 20), "")
+            )
+        if not quoted:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(
+                    path, delimiter=",", skiprows=1, comments=None,
+                    usecols=positions, ndmin=2, encoding="utf-8",
+                )
+            if np.isfinite(values).all():
+                return values
+    except (ValueError, Warning):
+        pass
+    return _read_columns_slow(path, columns)
+
+
+def _column_positions(path, reader, columns: list[str]) -> list[int]:
+    """Header positions of ``columns``, read from the first row of ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [name.strip() for name in header]
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}; header has {header}")
+    return [header.index(name) for name in columns]
+
+
+def _read_columns_slow(path, columns: list[str]) -> np.ndarray:
+    """``read_columns`` one cell at a time with ``float()``; reports every error."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}; header has {header}")
-        positions = [header.index(name) for name in columns]
+        positions = _column_positions(path, reader, columns)
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -103,9 +145,15 @@ def read_columns(path, columns: Sequence[str]) -> np.ndarray:
 
 def load_csv(path, schema: ColumnSchema) -> tuple[np.ndarray, np.ndarray]:
     """Feature and target blocks (one sample per row) in file order."""
-    features = read_columns(path, schema.feature_columns)
-    targets = read_columns(path, schema.target_columns)
-    return features, targets
+    try:
+        values = read_columns(path, schema.feature_columns + schema.target_columns)
+    except DataError:
+        # Report the error a features-then-targets read finds first.
+        _read_columns_slow(path, list(schema.feature_columns))
+        _read_columns_slow(path, list(schema.target_columns))
+        raise
+    split_at = len(schema.feature_columns)
+    return values[:, :split_at], values[:, split_at:]
 
 
 def normalize(

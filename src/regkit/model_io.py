@@ -47,7 +47,8 @@ def _stats_to_json(stats: NormalizationStats) -> dict:
 
 def _stats_from_json(obj: dict, what: str) -> NormalizationStats:
     try:
-        return NormalizationStats(obj["columns"], obj["mean"], obj["std"])
+        mean, std = _numbers(obj["mean"], "mean"), _numbers(obj["std"], "std")
+        return NormalizationStats(obj["columns"], mean, std)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad {what} normalization block: {exc}") from None
 
@@ -121,12 +122,25 @@ def save_model(
         handle.write("\n")
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as float64; strings, booleans, NaN and inf are errors."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ModelFormatError(f"{what}: expected a list of numbers")
+    try:
+        arr = np.array(values, dtype=np.float64)
+        if np.isfinite(arr).all():
+            return arr
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ModelFormatError(f"{what}: values must be finite")
+
+
 def _reshape(flat, rows: int, cols: int, what: str) -> np.ndarray:
-    arr = np.asarray(flat, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != rows * cols:
+    arr = _numbers(flat, what)
+    if arr.shape[0] != rows * cols:
         raise ModelFormatError(
             f"{what}: expected {rows * cols} values for shape ({rows}, {cols}), "
-            f"got {arr.shape[0] if arr.ndim == 1 else arr.shape}"
+            f"got {arr.shape[0]}"
         )
     return arr.reshape(rows, cols)
 

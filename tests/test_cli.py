@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -210,6 +211,37 @@ class TestBlasThreads:
         assert np.linalg.norm(one - two) <= 1e-9 * np.linalg.norm(one)
 
 
+class TestClosedStdout:
+    """A reader that has gone away costs the progress lines, not the run."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["ols-fit", "predict"])
+    def test_closed_pipe_exits_0_with_output_written(self, tmp_path, command, unbuffered):
+        data = _write_line_csv(tmp_path)
+        model, predictions = tmp_path / "model.json", tmp_path / "pred.csv"
+        fit = ["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+               "--out", str(model)]
+        if command == "predict":
+            assert cli_main(fit) == 0
+            argv, out = ["predict", "--model", str(model), "--data", str(data),
+                         "--out", str(predictions)], predictions
+        else:
+            argv, out = fit, model
+        src = str(Path(regkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "regkit.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert out.exists()
+
+
 class TestPredictCommand:
     def test_round_trips_normalization(self, tmp_path):
         data = _write_line_csv(tmp_path)
@@ -223,6 +255,21 @@ class TestPredictCommand:
                          "--out", str(pred_out)]) == 0
         _, values = _read_predictions(pred_out)
         np.testing.assert_allclose(values, [[5.0], [21.0]], atol=1e-9)
+
+    def test_nan_std_in_model_exits_2(self, tmp_path, capsys):
+        data = _write_line_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        cli_main(["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+                  "--out", str(model_path)])
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["normalization"]["features"]["std"] = [float("nan")]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        code = cli_main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_model_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,16 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import regkit.data
 from regkit.data import (
     ColumnSchema,
     NormalizationStats,
+    _read_columns_slow,
     denormalize,
     load_csv,
     normalize,
@@ -75,6 +82,150 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
         block = read_columns(path, ("c", "a"))
         np.testing.assert_array_equal(block, [[3.0, 1.0], [6.0, 4.0]])
+
+
+def _oracle_columns(path, columns):
+    """The named columns, one ``float()`` per cell, or the DataError text."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = list(enumerate(csv.reader(handle), start=1))
+    if not records:
+        return f"{path}: file is empty"
+    header = [name.strip() for name in records[0][1]]
+    missing = [name for name in columns if name not in header]
+    if missing:
+        return f"{path}: missing columns {missing}; header has {header}"
+    rows = []
+    for line_no, record in records[1:]:
+        if not record:
+            continue
+        row = []
+        for name in columns:
+            pos = header.index(name)
+            if pos >= len(record):
+                return f"{path}: row {line_no} has no column {name!r}"
+            cell = record[pos].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"{path}: row {line_no}, column {name!r}: cannot parse {cell!r} as a number"
+            if not math.isfinite(value):
+                return f"{path}: row {line_no}, column {name!r}: {cell!r} is not a finite number"
+            row.append(value)
+        rows.append(row)
+    if not rows:
+        return f"{path}: no data rows"
+    return np.array(rows, dtype=np.float64)
+
+
+def _oracle_load(path, schema):
+    """load_csv's contract: features are read, then targets; the first error wins."""
+    features = _oracle_columns(path, schema.feature_columns)
+    if isinstance(features, str):
+        return features
+    targets = _oracle_columns(path, schema.target_columns)
+    return targets if isinstance(targets, str) else (features, targets)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(_FINITE.map(repr), _FINITE.map(lambda v: "%.17g" % v))
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_CELL = st.builds(lambda left, number, right: left + number + right, _PAD, _NUMBER, _PAD)
+_ODD_CELL = st.sampled_from([
+    "1_000", "1e400", "-1e400", "nan", "inf", "-Infinity", "", "abc", "1.2.3", "# c",
+    "2#x", "0x10", "\u0663", '"-0.5"', '"1,5"', '"a,5,6,b"', '"', "\f",
+])
+_EXTRA_LINE = st.sampled_from(["", "", "", " ", "\t", "1", "1,2", "# c"])
+# Features x0 and x1 sit on both sides of the target; q is never read.
+_HEADER = "x0,q, y ,x1"
+_SCHEMA = ColumnSchema(("x0", "x1"), ("y",))
+
+
+@st.composite
+def _csv_texts(draw):
+    """Clean files, or files with one odd cell, one odd line, or both."""
+    rows = [[draw(_CELL) for _ in range(4)] for _ in range(draw(st.integers(0, 4)))]
+    defects = draw(st.sampled_from(["", "cell", "line", "cell+line"]))
+    if rows and "cell" in defects:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, 3))] = draw(_ODD_CELL)
+    lines = [",".join(row) for row in rows]
+    if "line" in defects:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_EXTRA_LINE))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([_HEADER] + lines) + draw(st.sampled_from([newline, ""]))
+
+
+class TestReaderAgreement:
+    """The numpy pass and the line-by-line reader accept, return and reject alike."""
+
+    @settings(max_examples=300)
+    @given(text=_csv_texts())
+    def test_load_csv_matches_per_cell_float_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "agreement.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _oracle_load(path, _SCHEMA)
+        try:
+            got = load_csv(path, _SCHEMA)
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str), f"accepted; the oracle says {expected!r}"
+        for block, want in zip(got, expected):
+            assert block.dtype == np.float64 and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("x,y\n1,2\n# c\n", id="comment_row"),
+        pytest.param("x,y\n1,2#x\n", id="hash_in_cell"),
+        pytest.param("x,y\n1,2\n  \n3,4\n", id="whitespace_only_row"),
+        pytest.param("x,y\n1,2\n3\n", id="short_row"),
+        pytest.param("x,y\n1,1e400\n", id="overflow"),
+        pytest.param("x,y\n", id="header_only"),
+    ])
+    def test_rejected_with_the_line_by_line_message(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError) as slow:
+            _read_columns_slow(path, ["x", "y"])
+        with pytest.raises(DataError) as fast:
+            read_columns(path, ["x", "y"])
+        assert str(fast.value) == str(slow.value)
+
+    def test_header_only_file_writes_nothing_to_stderr(self, tmp_path, capfd, recwarn):
+        path = _write(tmp_path, "x,y\n")
+        with pytest.raises(DataError, match="no data rows"):
+            read_columns(path, ["x", "y"])
+        assert capfd.readouterr().err == ""
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("x,q,y\n1,0,1_000\n", id="underscore_digits"),
+        pytest.param("x,q,y\n1,0,\u0663\n", id="non_ascii_digit"),
+        pytest.param('x,q,y\n"1",0,"3"\n', id="quoted_numbers"),
+        # Split on every comma, the quoted cell would shift y onto "5".
+        pytest.param('x,q,y\n1,"a,5,6,b",2\n', id="quoted_commas_before_a_used_column"),
+        # Read as data, the header's second line would give a row (7, 8).
+        pytest.param('x,y,"q\n7,8,9"\n1,0,2\n', id="header_spanning_two_lines"),
+    ])
+    def test_accepted_by_the_line_by_line_reader(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        expected = _read_columns_slow(path, ["x", "y"])
+        got = read_columns(path, ["x", "y"])
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+
+    def test_features_error_reported_before_targets_error(self, tmp_path):
+        path = _write(tmp_path, "x,y\n1,bad\nworse,2\n")
+        with pytest.raises(DataError, match=r"row 3, column 'x': cannot parse 'worse'"):
+            load_csv(path, ColumnSchema(("x",), ("y",)))
+
+    def test_clean_file_skips_the_line_by_line_reader(self, tmp_path, monkeypatch):
+        def refuse(path, columns):
+            raise AssertionError("line-by-line reader used on a clean file")
+
+        monkeypatch.setattr(regkit.data, "_read_columns_slow", refuse)
+        path = _write(tmp_path, "x, y\r\n1.5 ,-2e3\r\n\r\n3,4\r\n")
+        features, targets = load_csv(path, ColumnSchema(("x",), ("y",)))
+        np.testing.assert_array_equal(features, [[1.5], [3.0]])
+        np.testing.assert_array_equal(targets, [[-2000.0], [4.0]])
 
 
 class TestNormalize:

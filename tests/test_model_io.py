@@ -155,3 +155,46 @@ class TestRejection:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="model_kind"):
             load_model(path)
+
+
+class TestDishonestValues:
+    """Values json accepts that no saved model holds: NaN, inf, strings."""
+
+    @staticmethod
+    def _ols_doc(tmp_path):
+        model = OlsModel(np.array([[0.5, -1.0, 2.0]]))
+        path = tmp_path / "model.json"
+        save_model(path, model, _stats(("a", "b"), [0, 0], [1, 1]), _stats(("y",), [0], [1]))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("features", "mean", float("nan")),
+        ("features", "std", float("nan")),
+        ("targets", "mean", float("-inf")),
+        ("targets", "std", float("inf")),
+        ("targets", "std", 10**400),  # an integer past the float range
+    ])
+    def test_non_finite_normalization_rejected(self, tmp_path, block, field, value):
+        path, doc = self._ols_doc(tmp_path)
+        doc["normalization"][block][field][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"{field}: values must be finite"):
+            load_model(path)
+
+    def test_string_coefficient_rejected(self, tmp_path):
+        path, doc = self._ols_doc(tmp_path)
+        doc["ols"]["coefficients"][0] = "1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="coefficients: expected a list of numbers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_non_finite_network_parameter_rejected(self, tmp_path, field):
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        doc = json.loads(path.read_text())
+        doc["ann"]["layers"][1][field][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"layer 2 {field}: values must be finite"):
+            load_model(path)
