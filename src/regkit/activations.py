@@ -58,13 +58,16 @@ def parse_activation(name: str) -> ActivationKind:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so neither exponential can overflow.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows: 1/(1+e) for x >= 0 and e/(1+e) below,
+    # the same operations as evaluating each sign branch on its own part.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=x >= 0)
+    return e
 
 
 def _apply_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
@@ -160,7 +163,8 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
     """Multiply an upstream signal by the activation Jacobian, column by column.
 
     For elementwise kinds this is the derivative matrix times ``upstream``
-    entrywise; for softmax each column is multiplied by its full Jacobian.
+    entrywise; for softmax each column ``u`` becomes ``s * (u - s . u)``,
+    its full Jacobian ``diag(s) - s s^T`` applied without forming it.
     """
     preactivations = np.asarray(preactivations, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -169,6 +173,42 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
             f"shape mismatch: {preactivations.shape} vs {upstream.shape}"
         )
     if kind.name == "softmax":
-        jac = derivative_matrix(kind, preactivations)
-        return np.einsum("kij,jk->ik", jac, upstream)
+        s = _softmax_columns(preactivations)
+        return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
     return _derivative_elementwise(kind, preactivations) * upstream
+
+
+def apply_keeping_sigmoid(
+    kind: ActivationKind, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``apply_matrix`` plus, for sigmoid and swish, the sigmoid block
+    ``sigmoid_jacobian_product`` needs (``None`` for the other kinds)."""
+    if kind.name not in ("sigmoid", "swish"):
+        return apply_matrix(kind, a), None
+    sig = _sigmoid(a)
+    return (sig if kind.name == "sigmoid" else a * sig), sig
+
+
+def sigmoid_jacobian_product(
+    kind: ActivationKind, sigmoid: np.ndarray, output: np.ndarray, upstream: np.ndarray
+) -> np.ndarray:
+    """``jacobian_product`` for sigmoid or swish from the blocks the forward
+    pass kept: ``sigmoid`` and the layer ``output`` z, taken at the same
+    pre-activations as ``upstream``'s columns.
+
+    The derivative is ``z (1 - sigmoid)``, plus ``sigmoid`` for swish: a
+    sigmoid layer's z is the sigmoid itself, a swish layer's is
+    ``x sigmoid``.  These are the products and sums ``derivative_matrix``
+    evaluates, so the result is bit-identical to ``jacobian_product`` at
+    the pre-activations.
+    """
+    if not sigmoid.shape == output.shape == upstream.shape:
+        raise ShapeError(
+            f"shape mismatch: {sigmoid.shape}, {output.shape} vs {upstream.shape}"
+        )
+    out = 1.0 - sigmoid
+    out *= output
+    if kind.name == "swish":
+        out += sigmoid
+    out *= upstream
+    return out

@@ -92,7 +92,7 @@ def read_columns(path, columns: Sequence[str]) -> np.ndarray:
                 )
             if np.isfinite(values).all():
                 return values
-    except (ValueError, Warning):
+    except (ValueError, Warning, csv.Error):
         pass
     return _read_columns_slow(path, columns)
 
@@ -114,33 +114,46 @@ def _read_columns_slow(path, columns: list[str]) -> np.ndarray:
     """``read_columns`` one cell at a time with ``float()``; reports every error."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        positions = _column_positions(path, reader, columns)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            values = []
-            for name, pos in zip(columns, positions):
-                if pos >= len(row):
-                    raise DataError(f"{path}: row {line_no} has no column {name!r}")
-                cell = row[pos].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {line_no}, column {name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {line_no}, column {name!r}: "
-                        f"{cell!r} is not a finite number"
-                    )
-                values.append(value)
-            rows.append(values)
+        try:
+            rows = _parse_rows(path, reader, columns)
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
+
+
+def _parse_rows(path, reader, columns: list[str]) -> list[list[float]]:
+    """The header's column positions, then each data row's values of ``columns``."""
+    positions = _column_positions(path, reader, columns)
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        values = []
+        for name, pos in zip(columns, positions):
+            if pos >= len(row):
+                raise DataError(f"{path}: row {line_no} has no column {name!r}")
+            cell = row[pos].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {line_no}, column {name!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: row {line_no}, column {name!r}: "
+                    f"{cell!r} is not a finite number"
+                )
+            values.append(value)
+        rows.append(values)
+    return rows
 
 
 def load_csv(path, schema: ColumnSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -174,12 +187,20 @@ def normalize(
         names = tuple(columns) if columns else tuple(f"col{i}" for i in range(values.shape[1]))
         if len(names) != values.shape[1]:
             raise ValueError(f"{len(names)} names for {values.shape[1]} columns")
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = values.mean(axis=0)
+            std = values.std(axis=0)
         flat = np.nonzero(std == 0.0)[0]
         if flat.size:
             raise DataError(
                 f"column {names[flat[0]]!r} is constant and cannot be normalized"
+            )
+        # A finite std also bounds every |value - mean|, so the z-scores are finite.
+        huge = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
+        if huge.size:
+            raise DataError(
+                f"column {names[huge[0]]!r} is too large to normalize: "
+                "its mean or standard deviation overflows"
             )
         stats = NormalizationStats(names, mean, std)
     elif values.shape[1] != stats.mean.shape[0]:

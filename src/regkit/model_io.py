@@ -117,9 +117,10 @@ def save_model(
         }
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
+    # One dumps call runs the C encoder; json.dump streams through the Python one.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _numbers(values, what: str) -> np.ndarray:

@@ -4,8 +4,11 @@ Data layout: one sample per column.  The forward pass runs training and
 validation columns side by side in a single ``(features, p + s)`` block;
 the backward pass sees only the first p (training) columns, so
 validation targets can never influence a gradient.  Activation
-derivatives are always evaluated at the cached pre-activations
-``S = W Z_prev + b``, not at the layer outputs.
+derivatives are taken at the cached pre-activations ``S = W Z_prev + b``.
+Sigmoid and swish layers also cache ``sigmoid(S)`` in the forward pass;
+the backward pass builds their derivative from it and the layer output
+instead of evaluating the sigmoid again.  Training keeps one epoch's
+cache alive at a time.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -18,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationKind, apply_matrix, jacobian_product
+from .activations import (
+    ActivationKind,
+    apply_keeping_sigmoid,
+    apply_matrix,
+    jacobian_product,
+    sigmoid_jacobian_product,
+)
 from .errors import DivergenceError, ShapeError
 from .initializers import InitializerKind, init_biases, init_weights, make_rng
 from .losses import LossKind, column_losses, loss_gradient
@@ -93,11 +102,17 @@ class NetworkState:
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs: the input block, the
-    pre-activations S of every layer and the activations Z."""
+    pre-activations S of every layer and the activations Z.
+
+    ``sigmoids`` holds ``sigmoid(S)`` for each sigmoid or swish layer and
+    ``None`` for the others.  Left empty, the backward pass evaluates
+    every derivative at S.
+    """
 
     z0: np.ndarray
     preactivations: list[np.ndarray]
     activations: list[np.ndarray]
+    sigmoids: list[np.ndarray | None] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -144,16 +159,18 @@ def _input_block(state: NetworkState, z0) -> np.ndarray:
 
 
 def forward(state: NetworkState, z0) -> ForwardCache:
-    """Run all columns through the network, caching S and Z per layer."""
+    """Run all columns through the network, caching S, Z and sigmoid(S) per layer."""
     z = _input_block(state, z0)
-    cache = ForwardCache(z, [], [])
+    cache = ForwardCache(z, [], [], [])
     for l, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations), 1):
-        s = w @ z + b
+        s = w @ z
+        s += b
         if not np.isfinite(s).all():
             raise DivergenceError(f"non-finite pre-activations in layer {l}")
-        z = apply_matrix(act, s)
+        z, sig = apply_keeping_sigmoid(act, s)
         cache.preactivations.append(s)
         cache.activations.append(z)
+        cache.sigmoids.append(sig)
     return cache
 
 
@@ -186,8 +203,8 @@ def output_delta(
     """Error signal of the output layer, one column per training sample.
 
     Chains the loss gradient at the outputs through the output
-    activation's Jacobian at the pre-activations.  Validation columns
-    are excluded.
+    activation's Jacobian at the pre-activations, built from the cached
+    sigmoid when the cache holds one.  Validation columns are excluded.
     """
     train_targets = np.asarray(train_targets, dtype=np.float64)
     p = train_targets.shape[1]
@@ -197,20 +214,37 @@ def output_delta(
             f"{cache.activations[-1].shape[1]}"
         )
     grad = loss_gradient(loss, cache.activations[-1][:, :p], train_targets)
-    return jacobian_product(output_activation, cache.preactivations[-1][:, :p], grad)
+    sig = cache.sigmoids[-1] if cache.sigmoids else None
+    if sig is None:
+        return jacobian_product(output_activation, cache.preactivations[-1][:, :p], grad)
+    return sigmoid_jacobian_product(
+        output_activation, sig[:, :p], cache.activations[-1][:, :p], grad
+    )
 
 
 def hidden_delta(
-    delta_next, w_next, preact_r, activation_r: ActivationKind
+    delta_next,
+    w_next,
+    preact_r,
+    activation_r: ActivationKind,
+    sigmoid_r: np.ndarray | None = None,
+    output_r: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Error signal of a hidden layer from the layer above it."""
+    """Error signal of a hidden layer from the layer above it.
+
+    Given the layer's cached ``sigmoid_r`` and output ``output_r`` (sigmoid
+    and swish layers), the Jacobian is built from them, not from ``preact_r``.
+    """
     delta_next = np.asarray(delta_next, dtype=np.float64)
     w_next = np.asarray(w_next, dtype=np.float64)
     if w_next.shape[0] != delta_next.shape[0]:
         raise ShapeError(
             f"weight shape {w_next.shape} does not consume delta shape {delta_next.shape}"
         )
-    return jacobian_product(activation_r, preact_r, w_next.T @ delta_next)
+    upstream = w_next.T @ delta_next
+    if sigmoid_r is None:
+        return jacobian_product(activation_r, preact_r, upstream)
+    return sigmoid_jacobian_product(activation_r, sigmoid_r, output_r, upstream)
 
 
 def layer_gradients(delta_r, z_prev_train) -> tuple[np.ndarray, np.ndarray]:
@@ -239,14 +273,18 @@ def _backward_pass(
     layer order (index l-1 for layer l)."""
     p = train_targets.shape[1]
     k = len(state.weights)
+    sigmoids = cache.sigmoids or [None] * k
     deltas: list[np.ndarray | None] = [None] * k
     deltas[k - 1] = output_delta(cache, train_targets, loss, state.activations[k - 1])
     for r in range(k - 1, 0, -1):
+        sig = sigmoids[r - 1]
         deltas[r - 1] = hidden_delta(
             deltas[r],
             state.weights[r],
             cache.preactivations[r - 1][:, :p],
             state.activations[r - 1],
+            sigmoid_r=None if sig is None else sig[:, :p],
+            output_r=cache.activations[r - 1][:, :p],
         )
     grads = []
     for l in range(1, k + 1):
@@ -304,6 +342,8 @@ def train(
             gap = abs(theta - theta_prev)
             if gap >= config.tolerance:
                 grads = _backward_pass(state, cache, train_targets, config.loss)
+                # Free this epoch's blocks before the next forward pass builds its own.
+                del cache
                 for l in range(len(state.weights) - 1, -1, -1):
                     grad_w, grad_b = grads[l]
                     state.weights[l], state.weight_opt[l] = optimizer_step(

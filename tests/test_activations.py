@@ -1,16 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import central_diff
 from regkit.activations import (
     ACTIVATION_NAMES,
     ActivationKind,
+    _sigmoid,
+    apply_keeping_sigmoid,
     apply_matrix,
     apply_scalar,
     derivative_matrix,
     derivative_scalar,
     jacobian_product,
     parse_activation,
+    sigmoid_jacobian_product,
 )
 
 ELEMENTWISE = [name for name in ACTIVATION_NAMES if name != "softmax"]
@@ -225,3 +233,96 @@ class TestJacobianProduct:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             jacobian_product(ActivationKind("relu"), np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (2, 3), (4, 6), (7, 2), (9, 9)])
+    def test_softmax_matches_jacobian_tensor(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        pre = rng.normal(scale=3.0, size=(rows, cols))
+        up = rng.normal(size=(rows, cols))
+        kind = ActivationKind("softmax")
+        expected = np.einsum("kij,jk->ik", derivative_matrix(kind, pre), up)
+        actual = jacobian_product(kind, pre, up)
+        scale = np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= 1e-14 * scale
+
+    def test_softmax_needs_no_jacobian_tensor(self):
+        # The (cols, n, n) tensor would take 36 MB here; the product needs a few blocks.
+        pre = np.random.default_rng(9).normal(size=(300, 50))
+        up = np.ones_like(pre)
+        tracemalloc.start()
+        try:
+            out = jacobian_product(ActivationKind("softmax"), pre, up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * pre.nbytes
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
+
+
+def _sigmoid_masked(x):
+    # The masked form the branch-free _sigmoid replaced, kept verbatim as its reference.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _assert_same_bits(actual, expected):
+    # NaN stays NaN (its sign bit may differ); every other value matches bit for bit.
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+class TestBranchFreeSigmoid:
+    FIXED = np.array([
+        0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf,
+        5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        1e-310, -1e-310, 36.7, -36.7, 709.8, -709.8, np.nan,
+    ])
+
+    def test_fixed_cases_match_masked_form(self):
+        _assert_same_bits(_sigmoid(self.FIXED), _sigmoid_masked(self.FIXED))
+
+    def test_wide_block_and_strided_view_match_masked_form(self):
+        block = np.random.default_rng(11).normal(scale=20.0, size=(256, 301))
+        _assert_same_bits(_sigmoid(block), _sigmoid_masked(block))
+        _assert_same_bits(_sigmoid(block[:, :200]), _sigmoid_masked(block[:, :200]))
+
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_matches_masked_form_bit_for_bit(self, x):
+        _assert_same_bits(_sigmoid(x), _sigmoid_masked(x))
+
+
+class TestCachedSigmoidJacobian:
+    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
+    def test_forward_blocks_match_apply_matrix(self, name):
+        kind = ActivationKind(name)
+        pre = np.random.default_rng(12).normal(scale=4.0, size=(5, 7))
+        out, sig = apply_keeping_sigmoid(kind, pre)
+        np.testing.assert_array_equal(out, apply_matrix(kind, pre))
+        if name in ("sigmoid", "swish"):
+            _assert_same_bits(sig, _sigmoid_masked(pre))
+        else:
+            assert sig is None
+
+    @pytest.mark.parametrize("name", ["sigmoid", "swish"])
+    def test_bit_identical_to_jacobian_product(self, name):
+        kind = ActivationKind(name)
+        rng = np.random.default_rng(13)
+        pre = rng.normal(scale=6.0, size=(6, 9))
+        up = rng.normal(size=(6, 5))
+        out, sig = apply_keeping_sigmoid(kind, pre)
+        _assert_same_bits(
+            sigmoid_jacobian_product(kind, sig[:, :5], out[:, :5], up),
+            jacobian_product(kind, pre[:, :5], up),
+        )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sigmoid_jacobian_product(
+                ActivationKind("swish"), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3))
+            )

@@ -123,6 +123,26 @@ class TestOlsFit:
         assert code == 2
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        (b"x,y\n1,\xff\n2,3\n", "not UTF-8 text (byte 0xff"),
+        (b'x,y\n1,2\n2,"' + b"7" * 140_000 + b'"\n3,4\n', "line 3: field larger than"),
+        (b"x,y\n1e308,1\n1.5e308,2\n-1e308,3\n1.7e308,4\n", "column 'x' is too large"),
+    ], ids=["invalid-utf8", "overlong-field", "near-float-max"])
+    @pytest.mark.parametrize("command", ["ols-fit", "ann-train"])
+    def test_unreadable_data_exits_2_with_one_line(self, tmp_path, capsys, content, message,
+                                                   command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        argv = [command, "--data", str(path), "--features", "x", "--targets", "y",
+                "--out", str(tmp_path / "m.json")]
+        if command == "ann-train":
+            argv += ["--layers", "1:identity"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestAnnTrain:
     def test_end_to_end_train_and_predict(self, tmp_path):

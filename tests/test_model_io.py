@@ -89,6 +89,19 @@ class TestAnnRoundTrip:
         save_model(b, state, fstats, tstats, config=config)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_match_the_streaming_encoder(self, tmp_path):
+        # json.dump streams through the pure-Python encoder; the file must not
+        # depend on which encoder wrote it.
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8") as handle:
+            json.dump(json.loads(path.read_text(encoding="utf-8")), handle,
+                      sort_keys=True, separators=(",", ":"))
+            handle.write("\n")
+        assert path.read_bytes() == streamed.read_bytes()
+
 
 class TestStatsTransport:
     def test_memory_and_file_paths_agree(self, tmp_path):

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import gradient_errors, numeric_network_gradients
-from regkit.activations import ActivationKind
+from regkit.activations import ACTIVATION_NAMES, ActivationKind, jacobian_product
 from regkit.errors import DivergenceError, ShapeError
 from regkit.initializers import InitializerKind
-from regkit.losses import LossKind
+from regkit.losses import LossKind, loss_gradient
 from regkit.network import (
     STOP_MAX_EPOCHS,
     STOP_TOLERANCE,
+    ForwardCache,
     LayerSpec,
     NetworkConfig,
     _backward_pass,
@@ -301,6 +304,66 @@ class TestValidationIsolation:
         for (gw0, gb0), (gw1, gb1) in zip(base_grads, new_grads):
             np.testing.assert_array_equal(gw0, gw1)
             np.testing.assert_array_equal(gb0, gb1)
+
+
+def _reference_gradients(state, cache, targets, loss):
+    """Backprop through the public ``jacobian_product`` at the pre-activations."""
+    p = targets.shape[1]
+    acts = state.activations
+    grad = loss_gradient(loss, cache.activations[-1][:, :p], targets)
+    delta = jacobian_product(acts[-1], cache.preactivations[-1][:, :p], grad)
+    grads = [None] * len(acts)
+    for l in range(len(acts) - 1, -1, -1):
+        z_prev = (cache.z0 if l == 0 else cache.activations[l - 1])[:, :p]
+        grads[l] = ((delta @ z_prev.T) / p, delta.sum(axis=1, keepdims=True) / p)
+        if l:
+            upstream = state.weights[l].T @ delta
+            delta = jacobian_product(acts[l - 1], cache.preactivations[l - 1][:, :p], upstream)
+    return grads
+
+
+class TestCachedBackwardPass:
+    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
+    def test_gradients_bit_identical_to_jacobian_product_reference(self, name):
+        rng = np.random.default_rng(14)
+        config = _config([(5, name), (4, name), (3, name)], seed=2)
+        state = init_network(config, 3)
+        cache = forward(state, rng.normal(scale=2.0, size=(3, 11)))
+        targets = rng.normal(size=(3, 8))
+        expected = _reference_gradients(state, cache, targets, config.loss)
+        bare = ForwardCache(cache.z0, cache.preactivations, cache.activations)
+        for grads in (_backward_pass(state, cache, targets, config.loss),
+                      _backward_pass(state, bare, targets, config.loss)):
+            for (gw, gb), (ew, eb) in zip(grads, expected):
+                np.testing.assert_array_equal(gw.view(np.uint64), ew.view(np.uint64))
+                np.testing.assert_array_equal(gb.view(np.uint64), eb.view(np.uint64))
+
+    def test_only_sigmoid_kinds_cache_a_sigmoid(self):
+        config = _config([(3, "swish"), (3, "relu"), (2, "sigmoid"), (1, "identity")])
+        state = init_network(config, 2)
+        cache = forward(state, np.ones((2, 4)))
+        assert [sig is None for sig in cache.sigmoids] == [False, True, False, True]
+        assert cache.sigmoids[2] is cache.activations[2]
+
+    def test_train_holds_one_epoch_cache_at_a_time(self):
+        rng = np.random.default_rng(15)
+        config = _config([(256, "swish"), (1, "identity")], epochs=3)
+        state = init_network(config, 4)
+        train_f, val_f = rng.normal(size=(4, 1600)), rng.normal(size=(4, 400))
+        train_t, val_t = rng.normal(size=(1, 1600)), rng.normal(size=(1, 400))
+        cache = forward(state, np.hstack([train_f, val_f]))
+        blocks = cache.preactivations + cache.activations + cache.sigmoids
+        cache_bytes = sum({id(b): b.nbytes for b in blocks if b is not None}.values())
+        del cache, blocks
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = train(state, train_f, train_t, val_f, val_t, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.epochs_run == 3
+        assert cache_bytes <= peak < 2 * cache_bytes
 
 
 class TestTrain:
