@@ -57,17 +57,52 @@ def parse_activation(name: str) -> ActivationKind:
     return ActivationKind(name.strip().lower())
 
 
+# Entrywise sigmoid passes run over row blocks of about this many bytes, so
+# that a block and its scratch stay in a 2 MiB per-core L2 cache.  Over a
+# whole 10 MB layer block each pass would stream from main memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(*arrays: np.ndarray):
+    """Matching row blocks of equally shaped arrays, each led by a scratch
+    block of its shape.
+
+    Blocks run along axis 0, hold about ``_BLOCK_BYTES`` and at least one
+    row; a 0-d array is one block of one row.  All blocks share one scratch.
+    """
+    arrays = [np.atleast_1d(a) for a in arrays]
+    rows, tail = arrays[0].shape[0], arrays[0].shape[1:]
+    step = max(1, _BLOCK_BYTES // max(8 * int(np.prod(tail)), 1))
+    scratch = np.empty((min(step, rows), *tail))
+    for i in range(0, rows, step):
+        yield (scratch[: min(step, rows - i)], *(a[i : i + step] for a in arrays))
+
+
+def _sigmoid_blocks(x: np.ndarray, sig: np.ndarray, *swish: np.ndarray) -> None:
+    """Write ``sigmoid(x)`` into ``sig``, and ``x * sigmoid(x)`` into the
+    optional swish block, one row block at a time."""
+    for d, xb, sb, *zb in _row_blocks(x, sig, *swish):
+        # exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is exp(0) = 1 for
+        # x >= 0 and exp(x) below, so each entry is the division the sign
+        # branches make (1/(1+e) and e/(1+e) with e = exp(-|x|)), with no
+        # mask and no select.  Neither exponent is positive, so none overflows.
+        np.minimum(xb, 0.0, out=sb)
+        np.exp(sb, out=sb)
+        np.abs(xb, out=d)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        d += 1.0
+        np.divide(sb, d, out=sb)
+        if zb:
+            np.multiply(xb, sb, out=zb[0])
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # e = exp(-|x|) never overflows: 1/(1+e) for x >= 0 and e/(1+e) below,
-    # the same operations as evaluating each sign branch on its own part.
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    d = e + 1.0
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=x >= 0)
-    return e
+    # The result is C-ordered whatever x's layout, so the exponentials
+    # always run over contiguous blocks.
+    out = np.empty(x.shape)
+    _sigmoid_blocks(x, out)
+    return out
 
 
 def _apply_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
@@ -179,18 +214,41 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
 
 
 def apply_keeping_sigmoid(
-    kind: ActivationKind, a: np.ndarray
+    kind: ActivationKind,
+    a: np.ndarray,
+    *,
+    out: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``apply_matrix`` plus, for sigmoid and swish, the sigmoid block
-    ``sigmoid_jacobian_product`` needs (``None`` for the other kinds)."""
+    ``sigmoid_jacobian_product`` needs (``None`` for the other kinds).
+
+    ``out`` takes the pair an earlier call returned for a block of ``a``'s
+    shape, or ``None`` in either place; the result is written into the
+    blocks it holds, and a missing one is allocated.
+    """
+    z, sig = out or (None, None)
     if kind.name not in ("sigmoid", "swish"):
-        return apply_matrix(kind, a), None
-    sig = _sigmoid(a)
-    return (sig if kind.name == "sigmoid" else a * sig), sig
+        if z is None:
+            return apply_matrix(kind, a), None
+        np.copyto(z, apply_matrix(kind, a))
+        return z, None
+    if z is None:
+        z = np.empty(a.shape)
+    if kind.name == "sigmoid":
+        sig = z
+    elif sig is None or sig is z:
+        sig = np.empty(a.shape)
+    _sigmoid_blocks(a, sig, *(() if z is sig else (z,)))
+    return z, sig
 
 
 def sigmoid_jacobian_product(
-    kind: ActivationKind, sigmoid: np.ndarray, output: np.ndarray, upstream: np.ndarray
+    kind: ActivationKind,
+    sigmoid: np.ndarray,
+    output: np.ndarray,
+    upstream: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``jacobian_product`` for sigmoid or swish from the blocks the forward
     pass kept: ``sigmoid`` and the layer ``output`` z, taken at the same
@@ -199,16 +257,24 @@ def sigmoid_jacobian_product(
     The derivative is ``z (1 - sigmoid)``, plus ``sigmoid`` for swish: a
     sigmoid layer's z is the sigmoid itself, a swish layer's is
     ``x sigmoid``.  These are the products and sums ``derivative_matrix``
-    evaluates, so the result is bit-identical to ``jacobian_product`` at
-    the pre-activations.
+    evaluates, and the final product with ``upstream`` commutes exactly,
+    so the result is bit-identical to ``jacobian_product`` at the
+    pre-activations.  The derivative is built one row block at a time in
+    a scratch block and multiplied into ``out``, which may be ``upstream``
+    itself; without ``out`` a new block is returned.
     """
     if not sigmoid.shape == output.shape == upstream.shape:
         raise ShapeError(
             f"shape mismatch: {sigmoid.shape}, {output.shape} vs {upstream.shape}"
         )
-    out = 1.0 - sigmoid
-    out *= output
-    if kind.name == "swish":
-        out += sigmoid
-    out *= upstream
+    if out is None:
+        out = np.empty(upstream.shape)
+    elif out.shape != upstream.shape:
+        raise ShapeError(f"out has shape {out.shape}, expected {upstream.shape}")
+    for jac, sb, zb, ub, ob in _row_blocks(sigmoid, output, upstream, out):
+        np.subtract(1.0, sb, out=jac)
+        jac *= zb
+        if kind.name == "swish":
+            jac += sb
+        np.multiply(ub, jac, out=ob)
     return out

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .initializers import parse_initializer
 from .losses import parse_loss
-from .model_io import load_model, predict_rows, save_model
+from .model_io import load_model, predict_rows, replacing_writer, save_model
 from .network import LayerSpec, NetworkConfig, gradient_check, init_network, train
 from .ols import GdConfig, build_problem, solve_analytic, solve_gd
 from .optimizers import parse_optimizer
@@ -207,7 +207,7 @@ def _run_predict(args) -> int:
     model = load_model(args.model)
     rows = read_columns(args.data, model.feature_stats.columns)
     predictions = predict_rows(model, rows)
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+    with replacing_writer(args.out, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(model.target_stats.columns)
         for row in predictions:

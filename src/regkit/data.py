@@ -128,10 +128,15 @@ def _read_columns_slow(path, columns: list[str]) -> np.ndarray:
 
 
 def _parse_rows(path, reader, columns: list[str]) -> list[list[float]]:
-    """The header's column positions, then each data row's values of ``columns``."""
+    """The header's column positions, then each data row's values of ``columns``.
+
+    Errors name the file line a row ends on, which is not the record
+    count once a quoted cell has spanned lines.
+    """
     positions = _column_positions(path, reader, columns)
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not row:
             continue
         values = []

@@ -14,7 +14,7 @@ class DegenerateStepError(ArithmeticError):
 
 
 class DivergenceError(ArithmeticError):
-    """An iteration produced non-finite values.
+    """An iteration or a prediction produced non-finite values.
 
     ``iteration`` carries the 1-based iteration or epoch index when known.
     """

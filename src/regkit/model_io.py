@@ -4,19 +4,22 @@ Floats are written with Python's shortest round-trip representation, so
 saving and reloading a model reproduces its predictions bit for bit.
 Files carry the normalization statistics alongside the parameters;
 ``predict_rows`` applies the full normalize / evaluate / denormalize
-pipeline on raw feature rows.
+pipeline on raw feature rows.  Output files are written whole or not
+at all (``replacing_writer``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import ActivationKind
 from .data import NormalizationStats, denormalize, normalize
-from .errors import ModelFormatError
+from .errors import DivergenceError, ModelFormatError
 from .network import NetworkConfig, NetworkState
 from .network import predict as network_predict
 from .ols import OlsModel
@@ -51,6 +54,30 @@ def _stats_from_json(obj: dict, what: str) -> NormalizationStats:
         return NormalizationStats(obj["columns"], mean, std)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad {what} normalization block: {exc}") from None
+
+
+@contextmanager
+def replacing_writer(path, newline: str | None = None):
+    """A text handle on a new file beside ``path``, renamed over ``path``
+    once the block completes and removed if it raises.
+
+    A run that fails mid-write leaves any earlier file at ``path`` as it
+    was, never a partial one.  The rename is atomic, but nothing is
+    synced to disk.
+    """
+    path = os.fspath(path)
+    temp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def save_model(
@@ -119,7 +146,7 @@ def save_model(
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     # One dumps call runs the C encoder; json.dump streams through the Python one.
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing_writer(path) as handle:
         handle.write(text + "\n")
 
 
@@ -199,14 +226,25 @@ def load_model(path) -> LoadedModel:
 
 
 def predict_rows(model: LoadedModel, feature_rows) -> np.ndarray:
-    """Predictions in original units for raw feature rows (one per row)."""
+    """Predictions in original units for raw feature rows (one per row).
+
+    Raises ``DivergenceError`` naming the first row (counted from 1) whose
+    prediction overflows the float range or is NaN.
+    """
     feature_rows = np.asarray(feature_rows, dtype=np.float64)
     if feature_rows.ndim == 1:
         feature_rows = feature_rows.reshape(1, -1)
-    normalized, _ = normalize(feature_rows, stats=model.feature_stats)
-    if model.kind == "ols":
-        design = np.hstack([normalized, np.ones((normalized.shape[0], 1))])
-        outputs = (model.ols.b @ design.T).T
-    else:
-        outputs = network_predict(model.network, normalized.T).T
-    return denormalize(outputs, model.target_stats)
+    # Rows far outside the training range can overflow; the check below
+    # reports that, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized, _ = normalize(feature_rows, stats=model.feature_stats)
+        if model.kind == "ols":
+            design = np.hstack([normalized, np.ones((normalized.shape[0], 1))])
+            outputs = (model.ols.b @ design.T).T
+        else:
+            outputs = network_predict(model.network, normalized.T).T
+        predictions = denormalize(outputs, model.target_stats)
+    bad = np.flatnonzero(~np.isfinite(predictions).all(axis=1))
+    if bad.size:
+        raise DivergenceError(f"the prediction for data row {bad[0] + 1} is not finite")
+    return predictions

@@ -7,8 +7,9 @@ validation targets can never influence a gradient.  Activation
 derivatives are taken at the cached pre-activations ``S = W Z_prev + b``.
 Sigmoid and swish layers also cache ``sigmoid(S)`` in the forward pass;
 the backward pass builds their derivative from it and the layer output
-instead of evaluating the sigmoid again.  Training keeps one epoch's
-cache alive at a time.
+instead of evaluating the sigmoid again.  Training allocates the cache's
+blocks once: every later epoch's forward pass writes S, Z and the
+sigmoids into the blocks of the epoch before.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -158,20 +159,35 @@ def _input_block(state: NetworkState, z0) -> np.ndarray:
     return z0
 
 
-def forward(state: NetworkState, z0) -> ForwardCache:
-    """Run all columns through the network, caching S, Z and sigmoid(S) per layer."""
+def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> ForwardCache:
+    """Run all columns through the network, caching S, Z and sigmoid(S) per layer.
+
+    ``out`` takes a cache an earlier call returned for this network and a
+    block with as many columns; its blocks are overwritten in place and it
+    is returned, holding ``z0`` as its input block.
+    """
     z = _input_block(state, z0)
-    cache = ForwardCache(z, [], [], [])
-    for l, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations), 1):
-        s = w @ z
+    k = len(state.weights)
+    if out is None:
+        out = ForwardCache(z, [None] * k, [None] * k, [None] * k)
+    else:
+        shapes = [(w.shape[0], z.shape[1]) for w in state.weights]
+        if [s.shape for s in out.preactivations] != shapes:
+            raise ShapeError(
+                f"out holds blocks of shapes {[s.shape for s in out.preactivations]}, "
+                f"expected {shapes}"
+            )
+        out.z0 = z
+        out.sigmoids = out.sigmoids or [None] * k
+    for i, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations)):
+        s = out.preactivations[i]
+        s = w @ z if s is None else np.matmul(w, z, out=s)
         s += b
         if not np.isfinite(s).all():
-            raise DivergenceError(f"non-finite pre-activations in layer {l}")
-        z, sig = apply_keeping_sigmoid(act, s)
-        cache.preactivations.append(s)
-        cache.activations.append(z)
-        cache.sigmoids.append(sig)
-    return cache
+            raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
+        z, sig = apply_keeping_sigmoid(act, s, out=(out.activations[i], out.sigmoids[i]))
+        out.preactivations[i], out.activations[i], out.sigmoids[i] = s, z, sig
+    return out
 
 
 def predict(state: NetworkState, features) -> np.ndarray:
@@ -218,7 +234,7 @@ def output_delta(
     if sig is None:
         return jacobian_product(output_activation, cache.preactivations[-1][:, :p], grad)
     return sigmoid_jacobian_product(
-        output_activation, sig[:, :p], cache.activations[-1][:, :p], grad
+        output_activation, sig[:, :p], cache.activations[-1][:, :p], grad, out=grad
     )
 
 
@@ -244,7 +260,7 @@ def hidden_delta(
     upstream = w_next.T @ delta_next
     if sigmoid_r is None:
         return jacobian_product(activation_r, preact_r, upstream)
-    return sigmoid_jacobian_product(activation_r, sigmoid_r, output_r, upstream)
+    return sigmoid_jacobian_product(activation_r, sigmoid_r, output_r, upstream, out=upstream)
 
 
 def layer_gradients(delta_r, z_prev_train) -> tuple[np.ndarray, np.ndarray]:
@@ -332,18 +348,17 @@ def train(
     gap = MAX_FLOAT
     losses: list[float] = []
     epochs = 0
+    cache = None
 
     while gap > config.tolerance and epochs < config.max_epochs:
         epoch = epochs + 1
         try:
-            cache = forward(state, z0)
+            cache = forward(state, z0, out=cache)
             theta = batch_validation_loss(cache, val_targets, config.loss)
             losses.append(theta)
             gap = abs(theta - theta_prev)
             if gap >= config.tolerance:
                 grads = _backward_pass(state, cache, train_targets, config.loss)
-                # Free this epoch's blocks before the next forward pass builds its own.
-                del cache
                 for l in range(len(state.weights) - 1, -1, -1):
                     grad_w, grad_b = grads[l]
                     state.weights[l], state.weight_opt[l] = optimizer_step(

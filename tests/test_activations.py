@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import central_diff
 from regkit.activations import (
+    _BLOCK_BYTES,
     ACTIVATION_NAMES,
     ActivationKind,
     _sigmoid,
@@ -326,3 +327,83 @@ class TestCachedSigmoidJacobian:
             sigmoid_jacobian_product(
                 ActivationKind("swish"), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3))
             )
+
+
+def _boundary_case(name):
+    """Inputs around the sigmoid kernels' row-block size, in several layouts."""
+    rng = np.random.default_rng(17)
+    width = 300
+    rows = _BLOCK_BYTES // (8 * width)  # rows per block at this width
+    wide = rng.normal(scale=20.0, size=(rows + 1, width))
+    # The finite fixed cases: at +-inf swish's x * sigmoid(x) is an invalid inf * 0.
+    fixed = TestBranchFreeSigmoid.FIXED[np.isfinite(TestBranchFreeSigmoid.FIXED)]
+    wide.flat[: fixed.size] = fixed
+    return {
+        "block_rows_minus_1": lambda: wide[: rows - 1],
+        "block_rows": lambda: wide[:rows],
+        "block_rows_plus_1": lambda: wide,
+        "row_wider_than_a_block": lambda: rng.normal(scale=20.0, size=(3, _BLOCK_BYTES // 8 + 5)),
+        "zero_rows": lambda: np.empty((0, width)),
+        "one_d": lambda: rng.normal(scale=20.0, size=_BLOCK_BYTES // 8 + 1),
+        "fortran_order": lambda: np.asfortranarray(wide),
+        "column_slice": lambda: wide[:, : width - 37],
+    }[name]()
+
+
+BOUNDARY_CASES = ["block_rows_minus_1", "block_rows", "block_rows_plus_1",
+                  "row_wider_than_a_block", "zero_rows", "one_d", "fortran_order",
+                  "column_slice"]
+
+
+class TestBlockedKernels:
+    """The row-blocked kernels against the masked form, across block boundaries."""
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_sigmoid_and_swish_match_masked_form(self, case):
+        x = _boundary_case(case)
+        _assert_same_bits(_sigmoid(x), _sigmoid_masked(x))
+        z, sig = apply_keeping_sigmoid(ActivationKind("swish"), x)
+        _assert_same_bits(sig, _sigmoid_masked(x))
+        _assert_same_bits(z, x * _sigmoid_masked(x))
+
+    @pytest.mark.parametrize("name", ["sigmoid", "swish"])
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_jacobian_product_into_out_matches_references(self, case, name):
+        kind = ActivationKind(name)
+        x = _boundary_case(case)
+        up = np.random.default_rng(18).normal(size=x.shape)
+        s = _sigmoid_masked(x)
+        z = s if name == "sigmoid" else x * s
+        derivative = s * (1.0 - s) if name == "sigmoid" else s + x * s * (1.0 - s)
+        expected = derivative * up
+        _assert_same_bits(jacobian_product(kind, x, up), expected)
+        out, sig = apply_keeping_sigmoid(kind, x)
+        kept = up.copy()
+        fresh = sigmoid_jacobian_product(kind, sig, out, up)
+        _assert_same_bits(fresh, expected)
+        np.testing.assert_array_equal(up.view(np.uint64), kept.view(np.uint64))
+        into = sigmoid_jacobian_product(kind, sig, out, up, out=up)
+        assert into is up
+        _assert_same_bits(into, expected)
+        _assert_same_bits(sigmoid_jacobian_product(kind, s, z, kept, out=np.empty(x.shape)),
+                          expected)
+
+    def test_out_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            sigmoid_jacobian_product(
+                ActivationKind("sigmoid"), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)),
+                out=np.empty((2, 3)),
+            )
+
+    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
+    def test_forward_blocks_written_into_out(self, name):
+        kind = ActivationKind(name)
+        rng = np.random.default_rng(19)
+        first, later = rng.normal(scale=4.0, size=(2, 5, 7))
+        out = apply_keeping_sigmoid(kind, first)
+        again = apply_keeping_sigmoid(kind, later, out=out)
+        assert again[0] is out[0] and again[1] is out[1]
+        expected = apply_keeping_sigmoid(kind, later)
+        np.testing.assert_array_equal(again[0], expected[0])
+        if expected[1] is not None:
+            np.testing.assert_array_equal(again[1], expected[1])

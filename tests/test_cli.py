@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import regkit
+import regkit.model_io
 from regkit.cli import cli_main
 from regkit.model_io import load_model, predict_rows
 
@@ -297,6 +299,72 @@ class TestPredictCommand:
         code = cli_main(["predict", "--model", str(bad), "--data", str(bad),
                          "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+
+def _fill_disk_after(monkeypatch, chars):
+    """Make every file regkit writes fail with ENOSPC after ``chars`` characters."""
+    real_open = open
+
+    def disk_full_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        write = handle.write
+
+        def write_then_fail(text):
+            write(text[:chars])
+            handle.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        handle.write = write_then_fail
+        return handle
+
+    monkeypatch.setattr(regkit.model_io, "open", disk_full_open, raising=False)
+
+
+class TestOutputFiles:
+    def test_non_finite_prediction_exits_3_and_writes_nothing(self, tmp_path, capsys, recwarn):
+        data = tmp_path / "line.csv"
+        data.write_text("x,y\n1,2\n2,4.5\n3,5.5\n4,8\n", encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+                         "--out", str(model_path)]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("x\n1e308\n-1.7e308\n", encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = cli_main(["predict", "--model", str(model_path), "--data", str(query),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical error: the prediction for data row 1 is not finite\n"
+        assert not out.exists()
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("command", ["ols-fit", "predict"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch, command):
+        data = _write_line_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        fit = ["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+               "--out", str(model_path)]
+        pred_path = tmp_path / "pred.csv"
+        predict = ["predict", "--model", str(model_path), "--data", str(data),
+                   "--out", str(pred_path)]
+        assert cli_main(fit) == 0 and cli_main(predict) == 0
+        target = model_path if command == "ols-fit" else pred_path
+        before = target.read_bytes()
+        _fill_disk_after(monkeypatch, 5)
+        capsys.readouterr()
+        assert cli_main(fit if command == "ols-fit" else predict) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv", "model.json", "pred.csv"]
+
+    def test_missing_directory_error_names_the_output(self, tmp_path, capsys):
+        data = _write_line_csv(tmp_path)
+        out = tmp_path / "nowhere" / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+                         "--out", str(out)]) == 2
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -87,7 +87,9 @@ class TestLoadCsv:
 def _oracle_columns(path, columns):
     """The named columns, one ``float()`` per cell, or the DataError text."""
     with open(path, newline="", encoding="utf-8") as handle:
-        records = list(enumerate(csv.reader(handle), start=1))
+        reader = csv.reader(handle)
+        # Each record with the file line it ends on.
+        records = [(reader.line_num, record) for record in reader]
     if not records:
         return f"{path}: file is empty"
     header = [name.strip() for name in records[0][1]]
@@ -212,6 +214,12 @@ class TestReaderAgreement:
         got = read_columns(path, ["x", "y"])
         assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
 
+    def test_errors_name_the_file_line_after_a_multi_line_cell(self, tmp_path):
+        # The quoted cell spans lines 2 and 3, so "oops" is on line 5, in record 4.
+        path = _write(tmp_path, 'x,y\n1,"a\nb"\n2,3\noops,4\n')
+        with pytest.raises(DataError, match=r"row 5, column 'x': cannot parse 'oops'"):
+            read_columns(path, ["x"])
+
     def test_features_error_reported_before_targets_error(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,bad\nworse,2\n")
         with pytest.raises(DataError, match=r"row 3, column 'x': cannot parse 'worse'"):
@@ -264,6 +272,12 @@ class TestSplit:
         (tf, tt), (vf, vt) = split(features, targets, 0.2, seed=0)
         assert tf.shape == (8, 1) and vf.shape == (2, 1)
         assert tt.shape == (8, 1) and vt.shape == (2, 1)
+
+    def test_half_rounds_away_from_zero(self):
+        # 0.25 * 10 = 2.5 exactly, which rounds to 3 validation rows.
+        data = np.arange(10.0).reshape(10, 1)
+        (tf, _), (vf, _) = split(data, data, 0.25, seed=0)
+        assert tf.shape == (7, 1) and vf.shape == (3, 1)
 
     def test_same_seed_same_split(self):
         features = np.arange(12.0).reshape(12, 1)

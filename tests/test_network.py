@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import regkit.network
 from oracles import gradient_errors, numeric_network_gradients
 from regkit.activations import ACTIVATION_NAMES, ActivationKind, jacobian_product
 from regkit.errors import DivergenceError, ShapeError
@@ -364,6 +365,66 @@ class TestCachedBackwardPass:
             tracemalloc.stop()
         assert report.epochs_run == 3
         assert cache_bytes <= peak < 2 * cache_bytes
+
+
+class TestReusedForwardBlocks:
+    def test_forward_into_out_matches_a_fresh_forward(self):
+        rng = np.random.default_rng(20)
+        config = _config([(6, "swish"), (5, "relu"), (4, "sigmoid"), (2, "identity")])
+        state = init_network(config, 3)
+        prev = forward(state, rng.normal(size=(3, 9)))
+        blocks = [prev.preactivations, prev.activations, prev.sigmoids]
+        ids = [[id(b) for b in group] for group in blocks]
+        for w in state.weights:
+            w += rng.normal(scale=0.1, size=w.shape)
+        z0 = rng.normal(scale=3.0, size=(3, 9))
+        fresh = forward(state, z0)
+        again = forward(state, z0, out=prev)
+        assert again is prev and again.z0 is fresh.z0
+        assert [[id(b) for b in group] for group in blocks] == ids
+        for got, want in zip(blocks, [fresh.preactivations, fresh.activations, fresh.sigmoids]):
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                else:
+                    np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_out_for_another_column_count_rejected(self):
+        config = _config([(3, "swish"), (1, "identity")])
+        state = init_network(config, 2)
+        prev = forward(state, np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            forward(state, np.ones((2, 5)), out=prev)
+
+    def test_epochs_after_the_first_reuse_the_cache(self, monkeypatch):
+        # ann-wide's layer shape: 256 units over 4000 training and 1000 validation
+        # columns.  A later epoch allocates only the backward pass's (256, 4000)
+        # delta and the kernels' scratch blocks, less than one (256, 5000) block.
+        rng = np.random.default_rng(21)
+        config = _config([(256, "swish"), (1, "identity")], optimizer="adam", epochs=3)
+        state = init_network(config, 4)
+        train_f, val_f = rng.normal(size=(4, 4000)), rng.normal(size=(4, 1000))
+        train_t, val_t = rng.normal(size=(1, 4000)), rng.normal(size=(1, 1000))
+        block = 256 * 5000 * 8
+        marks = []  # (traced bytes at an epoch's start, peak since the last start)
+        real_forward = regkit.network.forward
+
+        def marking_forward(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(regkit.network, "forward", marking_forward)
+        tracemalloc.start()
+        try:
+            _, report = train(state, train_f, train_t, val_f, val_t, config)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert report.epochs_run == 3
+        growth = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+        assert growth[0] >= 3 * block  # S, Z and sigmoid(S) of the swish layer
+        assert all(g < block for g in growth[1:]), [g / block for g in growth]
 
 
 class TestTrain:

@@ -108,6 +108,24 @@ class TestSteps:
         p_nadam, _ = _step_chain(OptimizerKind("nadam"), np.array([0.0]), grads)
         assert p_adam[0] != p_nadam[0]
 
+    def test_nadam_two_steps_hand_computed(self):
+        # The implemented rule is the simplified Nadam of Ruder, "An overview of
+        # gradient descent optimization algorithms" (2016):
+        #   p -= gamma (beta1 m_hat + (1 - beta1) g / (1 - beta1^t)) / (sqrt(v_hat) + eps),
+        # with m_hat and v_hat bias-corrected at step t.  Dozat (ICLR 2016 workshop)
+        # corrects the beta1 m term with 1 - beta1^(t+1) instead.
+        # Defaults: beta1 0.9, beta2 0.999, gamma 0.001, eps 1e-8.
+        # t = 1, g = 1:   m_hat = v_hat = 1, p1 = -0.001 * (0.9 + 1) / (1 + 1e-8).
+        # t = 2, g = 0.5: m = 0.14, v = 0.001249, m_hat = 0.14 / 0.19, v_hat = 0.001249 / 0.001999,
+        #   p2 = p1 - 0.001 * (0.9 m_hat + 0.05 / 0.19) / (sqrt(v_hat) + 1e-8).
+        kind = OptimizerKind("nadam")
+        p, state = _step_chain(kind, np.array([0.0]), [np.array([1.0])])
+        np.testing.assert_allclose(p, [-0.0018999999810000003], rtol=1e-13)
+        p, state = optimizer_step(kind, state, p, np.array([0.5]))
+        np.testing.assert_allclose(state.m1, [0.14], rtol=1e-13)
+        np.testing.assert_allclose(state.m2, [0.001249], rtol=1e-13)
+        np.testing.assert_allclose(p, [-0.0030718829406802617], rtol=1e-13)
+
     def test_determinism(self):
         rng = np.random.default_rng(1)
         p0 = rng.normal(size=(4, 3))
