@@ -158,11 +158,14 @@ def _run_ols_fit(args) -> int:
                 raise
             print(f"analytic solve failed ({exc}); falling back to gd", file=sys.stderr)
             model, trace = solve_gd(problem, gd_config)
-            summary = f"gd fallback: {trace.iterations} iterations, converged={trace.converged}"
+            summary = (f"gd fallback: {trace.iterations} iterations, "
+                       f"converged={trace.converged}, "
+                       f"relative gradient {trace.relative_gradient:.3e}")
     else:
         model, trace = solve_gd(problem, gd_config)
         summary = (f"gd: {trace.iterations} iterations, converged={trace.converged}, "
-                   f"last step norm {trace.final_step_norm:.3e}")
+                   f"last step norm {trace.final_step_norm:.3e}, "
+                   f"relative gradient {trace.relative_gradient:.3e}")
     save_model(args.out, model, fstats, tstats)
     _report(summary, f"wrote {args.out}")
     return 0

@@ -229,7 +229,9 @@ def predict_rows(model: LoadedModel, feature_rows) -> np.ndarray:
     """Predictions in original units for raw feature rows (one per row).
 
     Raises ``DivergenceError`` naming the first row (counted from 1) whose
-    prediction overflows the float range or is NaN.
+    prediction overflows the float range or is NaN.  When a network's
+    forward pass meets a non-finite pre-activation, the row named is the
+    first one whose forward pass does.
     """
     feature_rows = np.asarray(feature_rows, dtype=np.float64)
     if feature_rows.ndim == 1:
@@ -242,9 +244,33 @@ def predict_rows(model: LoadedModel, feature_rows) -> np.ndarray:
             design = np.hstack([normalized, np.ones((normalized.shape[0], 1))])
             outputs = (model.ols.b @ design.T).T
         else:
-            outputs = network_predict(model.network, normalized.T).T
+            try:
+                outputs = network_predict(model.network, normalized.T).T
+            except DivergenceError:
+                row = _first_failing_row(model.network, normalized)
+                raise DivergenceError(
+                    f"the prediction for data row {row} is not finite") from None
         predictions = denormalize(outputs, model.target_stats)
     bad = np.flatnonzero(~np.isfinite(predictions).all(axis=1))
     if bad.size:
         raise DivergenceError(f"the prediction for data row {bad[0] + 1} is not finite")
     return predictions
+
+
+def _first_failing_row(network: NetworkState, normalized: np.ndarray) -> int:
+    """The first row (counted from 1) whose forward pass raises DivergenceError.
+
+    Samples pass through the network independently, so a prefix of the
+    rows fails exactly when it holds a failing row; bisecting on the
+    prefix length costs about two forward passes over all the rows.
+    """
+    passing, failing = 0, normalized.shape[0]
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
+        try:
+            network_predict(network, normalized[:mid].T)
+        except DivergenceError:
+            failing = mid
+        else:
+            passing = mid
+    return failing

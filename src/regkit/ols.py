@@ -96,12 +96,15 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class GdTrace:
-    """What the iteration did: step count, last step norm, and whether the
-    tolerance (rather than the iteration cap) ended it."""
+    """What the iteration did: step count, last step norm, whether the
+    tolerance (rather than the iteration cap) ended it, and the relative
+    gradient ``||B Z - K|| / ||K||`` of the returned B, with ``K = Y X``
+    (the plain ``||B Z||`` when K is zero)."""
 
     iterations: int
     final_step_norm: float
     converged: bool
+    relative_gradient: float
 
 
 def build_problem(features, targets) -> OlsProblem:
@@ -165,19 +168,27 @@ def solve_analytic(problem: OlsProblem) -> OlsModel:
     )
 
 
-def bb_learning_rate(l_step, z) -> float:
+def bb_learning_rate(l_step, z, *, lz=None) -> float:
     """Barzilai-Borwein rate ``|L : (L Z)| / (2 ||L Z||^2)``.
 
     ``l_step`` is the difference of successive coefficient iterates and
-    ``z`` the normal matrix.  Raises DegenerateStepError when ``L Z`` is
-    zero, i.e. the iterate did not move, and ValueError when the rate is
-    not finite, e.g. for non-finite input.
+    ``z`` the normal matrix.  ``lz``, when given, is the product ``L Z``
+    the caller already formed (``solve_gd`` gets it from the same matrix
+    product as ``B Z``); it must have the shape of ``l_step`` and is used
+    as is, so the rate costs no product.  Raises DegenerateStepError when
+    ``L Z`` is zero, i.e. the iterate did not move, and ValueError when the
+    rate is not finite, e.g. for non-finite input.
     """
     l_step = np.asarray(l_step, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if l_step.ndim != 2 or l_step.size == 0 or z.shape != (l_step.shape[1],) * 2:
         raise ShapeError(f"cannot form the rate of a {l_step.shape} step and a {z.shape} matrix")
-    lz = l_step @ z
+    if lz is None:
+        lz = l_step @ z
+    else:
+        lz = np.asarray(lz, dtype=np.float64)
+        if lz.shape != l_step.shape:
+            raise ShapeError(f"L Z of shape {lz.shape} does not match the {l_step.shape} step")
     denom = _frobenius_norm(lz)
     if denom == 0.0:
         raise DegenerateStepError("rate undefined: ||L Z|| = 0 (iterate did not move)")
@@ -215,7 +226,11 @@ def solve_gd(
     ``B <- B - (|L : L Z| / ||L Z||^2) (B Z - Y X)`` with
     ``L = B_t - B_{t-1}``, until the step norm drops below
     ``config.epsilon`` or ``config.max_iterations`` updates were made.
-    ``callback``, when given, receives every iterate starting with B0.
+    ``L`` and ``B`` are kept as the two row halves of one block, so each
+    step makes one matrix product, whose halves are ``L Z`` (passed to
+    ``bb_learning_rate`` as ``lz``) and ``B Z``.  ``callback``, when
+    given, receives every iterate starting with B0, none of them in a
+    buffer the loop writes to again.
     """
     x, y = problem.x_design, problem.y_targets
     z = x.T @ x
@@ -237,26 +252,34 @@ def solve_gd(
     _require_finite(b, 1)
     if callback is not None:
         callback(b)
-    l_step = b - b_prev
+    # L on top of B: the product's top half is L Z and its bottom half B Z.
+    m = k.shape[0]
+    lb = np.concatenate([b - b_prev, b])
+    prod = np.empty_like(lb)
+    l_step, b_rows, lz, bz = lb[:m], lb[m:], prod[:m], prod[m:]
     iterations = 1
 
     while _frobenius_norm(l_step) > config.epsilon and iterations < config.max_iterations:
+        np.matmul(lb, z, out=prod)
         try:
-            gamma = bb_learning_rate(l_step, z)
+            gamma = bb_learning_rate(l_step, z, lz=lz)
         except DegenerateStepError:
             # A zero step is a fixed point of the update: stop as converged.
-            l_step = np.zeros_like(l_step)
+            l_step[...] = 0.0
             break
-        b_prev = b
-        b = b - 2.0 * gamma * (b @ z - k)
+        b = b_rows - 2.0 * gamma * (bz - k)
         _require_finite(b, iterations + 1)
         if callback is not None:
             callback(b)
-        l_step = b - b_prev
+        np.subtract(b, b_rows, out=l_step)
+        b_rows[...] = b
         iterations += 1
 
     final_norm = _frobenius_norm(l_step)
-    trace = GdTrace(iterations, final_norm, final_norm < config.epsilon)
+    gradient_norm = _frobenius_norm(b @ z - k)
+    k_norm = _frobenius_norm(k)
+    trace = GdTrace(iterations, final_norm, final_norm < config.epsilon,
+                    gradient_norm / k_norm if k_norm > 0.0 else gradient_norm)
     return OlsModel(b), trace
 
 

@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,14 +55,20 @@ class TestOlsFit:
                 predict_rows(model, [[x]]), [[2.0 * x + 1.0]], atol=1e-9
             )
 
-    def test_gd_method_matches_analytic(self, tmp_path):
+    def test_gd_method_matches_analytic(self, tmp_path, capsys):
         data = _write_sine_csv(tmp_path)
         out_a = tmp_path / "a.json"
         out_g = tmp_path / "g.json"
         base = ["--data", str(data), "--features", "x", "--targets", "y"]
         assert cli_main(["ols-fit", *base, "--method", "analytic", "--out", str(out_a)]) == 0
+        capsys.readouterr()
         assert cli_main(["ols-fit", *base, "--method", "gd", "--epsilon", "1e-12",
                          "--out", str(out_g)]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        match = re.fullmatch(r"gd: (\d+) iterations, converged=True, last step norm (\S+), "
+                             r"relative gradient (\S+)", summary)
+        assert match, summary
+        assert float(match[3]) < 1e-9
         rows = np.linspace(0, 1, 7).reshape(-1, 1)
         np.testing.assert_allclose(
             predict_rows(load_model(out_a), rows),
@@ -80,7 +87,7 @@ class TestOlsFit:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
-    def test_singular_falls_back_when_asked(self, tmp_path):
+    def test_singular_falls_back_when_asked(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("a,b,y\n1,1,1\n2,2,2\n3,3,4\n", encoding="utf-8")
         out = tmp_path / "m.json"
@@ -90,6 +97,9 @@ class TestOlsFit:
         ])
         assert code == 0
         assert out.exists()
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"gd fallback: \d+ iterations, converged=(True|False), "
+                            r"relative gradient \S+", summary), summary
 
     @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--epsilon", "-1")])
     @pytest.mark.parametrize("path", [["--method", "gd"], ["--fallback-gd"]],
@@ -336,6 +346,24 @@ class TestOutputFiles:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "numerical error: the prediction for data row 1 is not finite\n"
+        assert not out.exists()
+        assert len(recwarn) == 0
+
+    def test_non_finite_network_prediction_names_the_row(self, tmp_path, capsys, recwarn):
+        data = _write_sine_csv(tmp_path)
+        model_path = tmp_path / "net.json"
+        assert cli_main(["ann-train", "--data", str(data), "--features", "x", "--targets", "y",
+                         "--layers", "4:swish,1:identity", "--epochs", "20",
+                         "--out", str(model_path)]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("x\n0.5\n1e308\n0.25\n", encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = cli_main(["predict", "--model", str(model_path), "--data", str(query),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical error: the prediction for data row 2 is not finite\n"
         assert not out.exists()
         assert len(recwarn) == 0
 

@@ -5,10 +5,10 @@ import pytest
 
 from regkit.activations import ActivationKind
 from regkit.data import NormalizationStats
-from regkit.errors import ModelFormatError
+from regkit.errors import DivergenceError, ModelFormatError
 from regkit.initializers import InitializerKind
 from regkit.losses import LossKind
-from regkit.model_io import FORMAT_VERSION, load_model, predict_rows, save_model
+from regkit.model_io import FORMAT_VERSION, LoadedModel, load_model, predict_rows, save_model
 from regkit.network import LayerSpec, NetworkConfig, init_network
 from regkit.network import predict as net_predict
 from regkit.ols import OlsModel
@@ -69,6 +69,16 @@ class TestAnnRoundTrip:
         normalized = (rows - fstats.mean) / fstats.std
         expected = net_predict(state, normalized.T).T * tstats.std + tstats.mean
         np.testing.assert_array_equal(predict_rows(loaded, rows), expected)
+
+    @pytest.mark.parametrize("bad_rows", [[0], [1, 2], [36, 80], [99]])
+    def test_non_finite_forward_pass_names_the_first_bad_row(self, bad_rows):
+        _, state, fstats, tstats = _ann_fixture()
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(100, 3))
+        rows[bad_rows, 1] = np.inf
+        with pytest.raises(DivergenceError,
+                           match=f"^the prediction for data row {bad_rows[0] + 1} is not finite$"):
+            predict_rows(LoadedModel("ann", fstats, tstats, network=state), rows)
 
     def test_activation_parameters_survive(self, tmp_path):
         config, state, fstats, tstats = _ann_fixture()

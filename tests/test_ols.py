@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import regkit.ols
 from oracles import gauss_solve, generic_bb_rate
 from regkit.errors import DegenerateStepError, ShapeError, SingularMatrixError
 from regkit.ols import (
@@ -165,6 +166,16 @@ class TestBbRate:
         with pytest.raises(ValueError):
             bb_learning_rate([[np.nan, 1.0]], np.eye(2))
 
+    def test_given_lz_replaces_the_product(self):
+        rng = np.random.default_rng(13)
+        l_step, z = rng.normal(size=(3, 5)), rng.normal(size=(5, 5))
+        assert bb_learning_rate(l_step, z, lz=l_step @ z) == bb_learning_rate(l_step, z)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 5), (3, 4), (15,)])
+    def test_lz_of_another_shape_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            bb_learning_rate(np.ones((3, 5)), np.eye(5), lz=np.ones(shape))
+
     def test_identity_collapses_to_half(self):
         rng = np.random.default_rng(5)
         l_step = rng.normal(size=(2, 4))
@@ -287,6 +298,126 @@ class TestSolveGd:
             GdConfig(0.0, 10)
         with pytest.raises(ValueError):
             GdConfig(1e-8, 0)
+
+
+def _two_product_reference(problem, epsilon, max_iterations):
+    """The BB loop with L Z and B Z as separate products; returns the
+    iterates from B0 on and whether the step norm fell below epsilon."""
+    x, y = problem.x_design, problem.y_targets
+    z, k = x.T @ x, y @ x
+    b_prev, gamma0 = default_guesses(problem)
+    b = b_prev - 2.0 * gamma0 * (b_prev @ z - k)
+    iterates = [b_prev, b]
+    l_step = b - b_prev
+    while np.sqrt(np.sum(l_step * l_step)) > epsilon and len(iterates) - 1 < max_iterations:
+        lz = l_step @ z
+        denom = np.sqrt(np.sum(lz * lz))
+        if denom == 0.0:
+            l_step = np.zeros_like(l_step)
+            break
+        gamma = abs(np.sum(l_step * lz)) / (2.0 * denom * denom)
+        b_prev, b = b, b - 2.0 * gamma * (b @ z - k)
+        iterates.append(b)
+        l_step = b - b_prev
+    return iterates, bool(np.sqrt(np.sum(l_step * l_step)) < epsilon)
+
+
+def _three_target_problem(seed, kappa=1e3, n=10, p=80):
+    """Noisy 3-target data whose design has condition number kappa; at the
+    default 1e3 the BB loop needs well over 100 steps."""
+    rng = np.random.default_rng(seed)
+    features = _conditioned_features(rng, p, n, kappa)
+    targets = features @ rng.normal(size=(n, 3)) + rng.normal(0.0, 0.1, (p, 3))
+    return build_problem(features, targets)
+
+
+class _RecordingRate:
+    """Stands in for ``regkit.ols.bb_learning_rate`` and records each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, l_step, z, **kwargs):
+        rate = bb_learning_rate(l_step, z, **kwargs)
+        self.calls.append((np.array(l_step), rate))
+        return rate
+
+
+class TestOneProductPerIteration:
+    def test_loop_rate_matches_the_rate_without_lz(self, monkeypatch):
+        problem = _three_target_problem(14)
+        z = problem.x_design.T @ problem.x_design
+        recorder = _RecordingRate()
+        monkeypatch.setattr(regkit.ols, "bb_learning_rate", recorder)
+        _, trace = solve_gd(problem, GdConfig(1e-300, 101))
+        assert trace.iterations == 101 and len(recorder.calls) == 100
+        for l_step, rate in recorder.calls:
+            exact = bb_learning_rate(l_step, z)
+            assert abs(rate - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("problem, cap, converged", [
+        (_three_target_problem(15, kappa=100.0, n=6, p=60), 20000, True),
+        (_random_problem(np.random.default_rng(16), m=2, n=4, p=40, noise=0.2)[0], 20000, True),
+        (_three_target_problem(17), 150, False),
+    ], ids=["3-targets", "2-targets", "capped"])
+    def test_iterates_match_a_two_product_loop(self, problem, cap, converged):
+        expected, expected_converged = _two_product_reference(problem, 1e-13, cap)
+        seen = []
+        model, trace = solve_gd(problem, GdConfig(1e-13, cap), callback=seen.append)
+        assert trace.iterations == len(expected) - 1 == len(seen) - 1
+        assert trace.converged == expected_converged == converged
+        for got, want in zip(seen, expected):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(model.b, seen[-1])
+
+    @pytest.mark.parametrize("epsilon, cap", [(1e-300, 40), (1e-10, 20000)])
+    def test_rate_called_once_per_iteration_after_the_first(self, monkeypatch, epsilon, cap):
+        recorder = _RecordingRate()
+        monkeypatch.setattr(regkit.ols, "bb_learning_rate", recorder)
+        _, trace = solve_gd(_three_target_problem(18), GdConfig(epsilon, cap))
+        assert trace.iterations > 1
+        assert len(recorder.calls) == trace.iterations - 1
+
+    def test_iterates_do_not_change_after_return(self):
+        seen, snapshots = [], []
+
+        def keep(b):
+            seen.append(b)
+            snapshots.append(b.copy())
+
+        model, trace = solve_gd(_three_target_problem(19), GdConfig(1e-300, 30), callback=keep)
+        assert len(seen) == trace.iterations + 1 == 31
+        for b, snapshot in zip(seen, snapshots):
+            np.testing.assert_array_equal(b, snapshot)
+        for i in range(len(seen)):
+            for j in range(i):
+                assert not np.shares_memory(seen[i], seen[j])
+        np.testing.assert_array_equal(model.b, snapshots[-1])
+        assert not any(np.shares_memory(model.b, b) for b in seen[:-1])
+        model_b = model.b.copy()
+        solve_gd(_three_target_problem(20), GdConfig(1e-300, 30))
+        np.testing.assert_array_equal(model.b, model_b)
+
+
+class TestRelativeGradient:
+    @pytest.mark.parametrize("cap", [1, 7, 200])
+    def test_reports_the_returned_iterate(self, cap):
+        problem = _three_target_problem(21)
+        x, y = problem.x_design, problem.y_targets
+        model, trace = solve_gd(problem, GdConfig(1e-300, cap))
+        k = y @ x
+        expected = np.linalg.norm(model.b @ (x.T @ x) - k) / np.linalg.norm(k)
+        assert trace.relative_gradient == pytest.approx(expected, rel=1e-12)
+
+    def test_small_at_convergence(self):
+        problem, _ = _random_problem(np.random.default_rng(22), noise=0.1)
+        _, trace = solve_gd(problem, GdConfig(1e-12, 10000))
+        assert trace.converged and trace.relative_gradient < 1e-10
+
+    def test_zero_targets_give_zero(self):
+        problem = build_problem([[1.0], [2.0], [4.0]], [[0.0], [0.0], [0.0]])
+        _, trace = solve_gd(problem, GdConfig(1e-8, 100))
+        assert trace.relative_gradient == 0.0
 
 
 class TestPredict:
