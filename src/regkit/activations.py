@@ -57,51 +57,47 @@ def parse_activation(name: str) -> ActivationKind:
     return ActivationKind(name.strip().lower())
 
 
-# Entrywise sigmoid passes run over row blocks of about this many bytes, so
-# that a block and its scratch stay in a 2 MiB per-core L2 cache.  Over a
-# whole 10 MB layer block each pass would stream from main memory.
-_BLOCK_BYTES = 1 << 20
+# Entrywise passes run over row blocks of about this many bytes, so that a
+# block and its scratch stay in a per-core L2 cache.  Over a whole 10 MB
+# layer block each pass would stream from main memory.
+_BLOCK_BYTES = 1 << 18
 
 
-def _row_blocks(*arrays: np.ndarray):
-    """Matching row blocks of equally shaped arrays, each led by a scratch
-    block of its shape.
+def row_blocks(x: np.ndarray, scratch: int = 0):
+    """Row slices of ``x`` of about ``_BLOCK_BYTES`` each and at least one
+    row, each yielded with ``scratch`` scratch blocks of its shape.
 
-    Blocks run along axis 0, hold about ``_BLOCK_BYTES`` and at least one
-    row; a 0-d array is one block of one row.  All blocks share one scratch.
+    All slices share the same scratch.  ``x`` has at least one dimension.
     """
-    arrays = [np.atleast_1d(a) for a in arrays]
-    rows, tail = arrays[0].shape[0], arrays[0].shape[1:]
+    rows, tail = x.shape[0], x.shape[1:]
     step = max(1, _BLOCK_BYTES // max(8 * int(np.prod(tail)), 1))
-    scratch = np.empty((min(step, rows), *tail))
+    buf = np.empty((scratch, min(step, rows), *tail))
     for i in range(0, rows, step):
-        yield (scratch[: min(step, rows - i)], *(a[i : i + step] for a in arrays))
+        n = min(step, rows - i)
+        yield (slice(i, i + n), *buf[:, :n])
 
 
-def _sigmoid_blocks(x: np.ndarray, sig: np.ndarray, *swish: np.ndarray) -> None:
-    """Write ``sigmoid(x)`` into ``sig``, and ``x * sigmoid(x)`` into the
-    optional swish block, one row block at a time."""
-    for d, xb, sb, *zb in _row_blocks(x, sig, *swish):
-        # exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is exp(0) = 1 for
-        # x >= 0 and exp(x) below, so each entry is the division the sign
-        # branches make (1/(1+e) and e/(1+e) with e = exp(-|x|)), with no
-        # mask and no select.  Neither exponent is positive, so none overflows.
-        np.minimum(xb, 0.0, out=sb)
-        np.exp(sb, out=sb)
-        np.abs(xb, out=d)
-        np.negative(d, out=d)
-        np.exp(d, out=d)
-        d += 1.0
-        np.divide(sb, d, out=sb)
-        if zb:
-            np.multiply(xb, sb, out=zb[0])
+def _sigmoid_into(x: np.ndarray, sig: np.ndarray, e: np.ndarray) -> None:
+    """Write ``sigmoid(x)`` into ``sig``, with ``e`` as scratch."""
+    # maximum([x >= 0], e) / (1 + e) with e = exp(-|x|): the numerator is 1
+    # for x >= 0 (e <= 1) and e = exp(x) below, so each entry is the division
+    # the sign branches make (1/(1+e) and e/(1+e)), with one exponential,
+    # no mask and no select.  The exponent is never positive, so none overflows.
+    np.copysign(x, -1.0, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=sig)
+    np.maximum(sig, e, out=sig)
+    e += 1.0
+    np.divide(sig, e, out=sig)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # The result is C-ordered whatever x's layout, so the exponentials
     # always run over contiguous blocks.
     out = np.empty(x.shape)
-    _sigmoid_blocks(x, out)
+    x1, out1 = np.atleast_1d(x, out)
+    for rows, e in row_blocks(x1, 1):
+        _sigmoid_into(x1[rows], out1[rows], e)
     return out
 
 
@@ -148,11 +144,14 @@ def _derivative_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"{name} has no elementwise derivative")
 
 
-def _softmax_columns(a: np.ndarray) -> np.ndarray:
+def softmax_columns(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of each column of ``a``, written into ``out`` (which may be
+    ``a`` itself) when given."""
     # Column-max shift keeps every exponent <= 0.
-    shifted = a - a.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.subtract(a, a.max(axis=0, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def apply_scalar(kind: ActivationKind, x: float) -> float:
@@ -173,7 +172,7 @@ def apply_matrix(kind: ActivationKind, a) -> np.ndarray:
     """Apply an activation to a matrix; softmax normalizes per column."""
     a = np.asarray(a, dtype=np.float64)
     if kind.name == "softmax":
-        return _softmax_columns(a)
+        return softmax_columns(a)
     return _apply_elementwise(kind, a)
 
 
@@ -187,7 +186,7 @@ def derivative_matrix(kind: ActivationKind, a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if kind.name != "softmax":
         return _derivative_elementwise(kind, a)
-    s = _softmax_columns(a).T  # (cols, n)
+    s = softmax_columns(a).T  # (cols, n)
     jac = -s[:, :, None] * s[:, None, :]
     idx = np.arange(a.shape[0])
     jac[:, idx, idx] += s
@@ -208,73 +207,32 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
             f"shape mismatch: {preactivations.shape} vs {upstream.shape}"
         )
     if kind.name == "softmax":
-        s = _softmax_columns(preactivations)
+        s = softmax_columns(preactivations)
         return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
     return _derivative_elementwise(kind, preactivations) * upstream
 
 
-def apply_keeping_sigmoid(
-    kind: ActivationKind,
-    a: np.ndarray,
-    *,
-    out: tuple[np.ndarray, np.ndarray | None] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``apply_matrix`` plus, for sigmoid and swish, the sigmoid block
-    ``sigmoid_jacobian_product`` needs (``None`` for the other kinds).
+def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray,
+                  e: np.ndarray, sig: np.ndarray) -> None:
+    """Write ``apply_matrix(kind, s)`` into ``z`` and ``derivative_matrix(kind, s)``
+    over ``s``, bit for bit, for an elementwise kind other than identity.
 
-    ``out`` takes the pair an earlier call returned for a block of ``a``'s
-    shape, or ``None`` in either place; the result is written into the
-    blocks it holds, and a missing one is allocated.
+    ``e`` and ``sig`` are scratch blocks of ``s``'s shape.  Sigmoid and
+    swish evaluate one exponential per entry for both.  Their derivative is
+    ``(1 - sigmoid) z``, plus ``sigmoid`` for swish: a sigmoid layer's z is
+    the sigmoid itself, a swish layer's is ``s sigmoid``.  These are the
+    products and sums ``derivative_matrix`` evaluates, in commuted order.
     """
-    z, sig = out or (None, None)
-    if kind.name not in ("sigmoid", "swish"):
-        if z is None:
-            return apply_matrix(kind, a), None
-        np.copyto(z, apply_matrix(kind, a))
-        return z, None
-    if z is None:
-        z = np.empty(a.shape)
     if kind.name == "sigmoid":
-        sig = z
-    elif sig is None or sig is z:
-        sig = np.empty(a.shape)
-    _sigmoid_blocks(a, sig, *(() if z is sig else (z,)))
-    return z, sig
-
-
-def sigmoid_jacobian_product(
-    kind: ActivationKind,
-    sigmoid: np.ndarray,
-    output: np.ndarray,
-    upstream: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``jacobian_product`` for sigmoid or swish from the blocks the forward
-    pass kept: ``sigmoid`` and the layer ``output`` z, taken at the same
-    pre-activations as ``upstream``'s columns.
-
-    The derivative is ``z (1 - sigmoid)``, plus ``sigmoid`` for swish: a
-    sigmoid layer's z is the sigmoid itself, a swish layer's is
-    ``x sigmoid``.  These are the products and sums ``derivative_matrix``
-    evaluates, and the final product with ``upstream`` commutes exactly,
-    so the result is bit-identical to ``jacobian_product`` at the
-    pre-activations.  The derivative is built one row block at a time in
-    a scratch block and multiplied into ``out``, which may be ``upstream``
-    itself; without ``out`` a new block is returned.
-    """
-    if not sigmoid.shape == output.shape == upstream.shape:
-        raise ShapeError(
-            f"shape mismatch: {sigmoid.shape}, {output.shape} vs {upstream.shape}"
-        )
-    if out is None:
-        out = np.empty(upstream.shape)
-    elif out.shape != upstream.shape:
-        raise ShapeError(f"out has shape {out.shape}, expected {upstream.shape}")
-    for jac, sb, zb, ub, ob in _row_blocks(sigmoid, output, upstream, out):
-        np.subtract(1.0, sb, out=jac)
-        jac *= zb
-        if kind.name == "swish":
-            jac += sb
-        np.multiply(ub, jac, out=ob)
-    return out
+        _sigmoid_into(s, z, e)
+        np.subtract(1.0, z, out=s)
+        s *= z
+    elif kind.name == "swish":
+        _sigmoid_into(s, sig, e)
+        np.multiply(s, sig, out=z)
+        np.subtract(1.0, sig, out=s)
+        s *= z
+        s += sig
+    else:
+        z[...] = _apply_elementwise(kind, s)
+        s[...] = _derivative_elementwise(kind, s)

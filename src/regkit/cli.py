@@ -243,6 +243,10 @@ def cli_main(argv=None) -> int:
     except (SingularMatrixError, DivergenceError, DegenerateStepError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # last resort: the data is too large for this process
+        detail = f": {exc}" if str(exc) else ""
+        print(f"data error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -104,10 +104,13 @@ def _column_positions(path, reader, columns: list[str]) -> list[int]:
     except StopIteration:
         raise DataError(f"{path}: file is empty") from None
     header = [name.strip() for name in header]
-    missing = [name for name in columns if name not in header]
+    first = {}  # a repeated name maps to its first position
+    for i, name in enumerate(header):
+        first.setdefault(name, i)
+    missing = [name for name in columns if name not in first]
     if missing:
         raise DataError(f"{path}: missing columns {missing}; header has {header}")
-    return [header.index(name) for name in columns]
+    return [first[name] for name in columns]
 
 
 def _read_columns_slow(path, columns: list[str]) -> np.ndarray:

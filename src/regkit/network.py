@@ -3,13 +3,14 @@
 Data layout: one sample per column.  The forward pass runs training and
 validation columns side by side in a single ``(features, p + s)`` block;
 the backward pass sees only the first p (training) columns, so
-validation targets can never influence a gradient.  Activation
-derivatives are taken at the cached pre-activations ``S = W Z_prev + b``.
-Sigmoid and swish layers also cache ``sigmoid(S)`` in the forward pass;
-the backward pass builds their derivative from it and the layer output
-instead of evaluating the sigmoid again.  Training allocates the cache's
-blocks once: every later epoch's forward pass writes S, Z and the
-sigmoids into the blocks of the epoch before.
+validation targets can never influence a gradient.  The forward pass
+keeps what the backward pass reads and nothing else: each layer's output
+Z and, for an elementwise activation f other than identity, its
+derivative J = f'(S) at the pre-activations ``S = W Z_prev + b``, written
+over S.  The backward pass is the streamlined backpropagation
+``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training allocates the
+cache's blocks and the hidden layers' delta blocks once: every later
+epoch writes into the blocks of the epoch before.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -24,10 +25,10 @@ import numpy as np
 
 from .activations import (
     ActivationKind,
-    apply_keeping_sigmoid,
+    activate_rows,
     apply_matrix,
-    jacobian_product,
-    sigmoid_jacobian_product,
+    row_blocks,
+    softmax_columns,
 )
 from .errors import DivergenceError, ShapeError
 from .initializers import InitializerKind, init_biases, init_weights, make_rng
@@ -103,17 +104,17 @@ class NetworkState:
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs: the input block, the
-    pre-activations S of every layer and the activations Z.
+    activations Z of every layer and their derivatives.
 
-    ``sigmoids`` holds ``sigmoid(S)`` for each sigmoid or swish layer and
-    ``None`` for the others.  Left empty, the backward pass evaluates
-    every derivative at S.
+    ``derivatives`` holds ``derivative_matrix(f, S)`` at the layer's
+    pre-activations S for each elementwise activation f, and ``None`` for
+    identity (whose Z is S) and softmax (whose Jacobian product is taken
+    from Z).
     """
 
     z0: np.ndarray
-    preactivations: list[np.ndarray]
     activations: list[np.ndarray]
-    sigmoids: list[np.ndarray | None] = field(default_factory=list)
+    derivatives: list[np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -160,33 +161,43 @@ def _input_block(state: NetworkState, z0) -> np.ndarray:
 
 
 def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> ForwardCache:
-    """Run all columns through the network, caching S, Z and sigmoid(S) per layer.
+    """Run all columns through the network, caching Z and J = f'(S) per layer.
 
-    ``out`` takes a cache an earlier call returned for this network and a
-    block with as many columns; its blocks are overwritten in place and it
-    is returned, holding ``z0`` as its input block.
+    Each layer forms ``S = W Z_prev`` in one product and then, one row
+    block at a time, adds the bias, checks that S is finite, and writes Z
+    and J.  ``out`` takes a cache an earlier call returned for this
+    network and a block with as many columns; its blocks are overwritten
+    in place and it is returned, holding ``z0`` as its input block.
     """
     z = _input_block(state, z0)
     k = len(state.weights)
     if out is None:
-        out = ForwardCache(z, [None] * k, [None] * k, [None] * k)
+        out = ForwardCache(z, [None] * k, [None] * k)
     else:
         shapes = [(w.shape[0], z.shape[1]) for w in state.weights]
-        if [s.shape for s in out.preactivations] != shapes:
+        if [a.shape for a in out.activations] != shapes:
             raise ShapeError(
-                f"out holds blocks of shapes {[s.shape for s in out.preactivations]}, "
+                f"out holds blocks of shapes {[a.shape for a in out.activations]}, "
                 f"expected {shapes}"
             )
         out.z0 = z
-        out.sigmoids = out.sigmoids or [None] * k
     for i, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations)):
-        s = out.preactivations[i]
+        keep = act.name not in ("identity", "softmax")  # J is written over S
+        s = out.derivatives[i] if keep else out.activations[i]
         s = w @ z if s is None else np.matmul(w, z, out=s)
-        s += b
-        if not np.isfinite(s).all():
-            raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
-        z, sig = apply_keeping_sigmoid(act, s, out=(out.activations[i], out.sigmoids[i]))
-        out.preactivations[i], out.activations[i], out.sigmoids[i] = s, z, sig
+        z = out.activations[i] if keep else s
+        if z is None:
+            z = np.empty(s.shape)
+        for rows, *scratch in row_blocks(s, 2 if keep else 0):
+            block = s[rows]
+            block += b[rows]
+            if not np.isfinite(block).all():
+                raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
+            if keep:
+                activate_rows(act, block, z[rows], *scratch)
+        if act.name == "softmax":
+            softmax_columns(s, out=s)
+        out.activations[i], out.derivatives[i] = z, s if keep else None
     return out
 
 
@@ -213,54 +224,57 @@ def batch_validation_loss(cache: ForwardCache, val_targets, loss: LossKind) -> f
     return float(np.mean(column_losses(loss, out[:, out.shape[1] - s:], val_targets)))
 
 
+def _times_jacobian(act: ActivationKind, derivative, output, upstream) -> np.ndarray:
+    """``jacobian_product(act, S, upstream)`` from the cache, bit for bit:
+    ``upstream`` times the derivative block, in place, or for softmax
+    ``s (u - s . u)`` with the layer output s."""
+    if act.name == "softmax":
+        return output * (upstream - (output * upstream).sum(axis=0, keepdims=True))
+    if derivative is not None:
+        upstream *= derivative
+    return upstream
+
+
 def output_delta(
     cache: ForwardCache, train_targets, loss: LossKind, output_activation: ActivationKind
 ) -> np.ndarray:
-    """Error signal of the output layer, one column per training sample.
-
-    Chains the loss gradient at the outputs through the output
-    activation's Jacobian at the pre-activations, built from the cached
-    sigmoid when the cache holds one.  Validation columns are excluded.
+    """Error signal of the output layer, one column per training sample:
+    the loss gradient at the outputs times the output layer's cached
+    derivative.  Validation columns are excluded.
     """
     train_targets = np.asarray(train_targets, dtype=np.float64)
     p = train_targets.shape[1]
-    if p > cache.activations[-1].shape[1]:
-        raise ShapeError(
-            f"{p} training columns but the cache holds only "
-            f"{cache.activations[-1].shape[1]}"
-        )
-    grad = loss_gradient(loss, cache.activations[-1][:, :p], train_targets)
-    sig = cache.sigmoids[-1] if cache.sigmoids else None
-    if sig is None:
-        return jacobian_product(output_activation, cache.preactivations[-1][:, :p], grad)
-    return sigmoid_jacobian_product(
-        output_activation, sig[:, :p], cache.activations[-1][:, :p], grad, out=grad
-    )
+    z = cache.activations[-1]
+    if p > z.shape[1]:
+        raise ShapeError(f"{p} training columns but the cache holds only {z.shape[1]}")
+    grad = loss_gradient(loss, z[:, :p], train_targets)
+    j = cache.derivatives[-1]
+    return _times_jacobian(output_activation, None if j is None else j[:, :p], z[:, :p], grad)
 
 
 def hidden_delta(
     delta_next,
     w_next,
-    preact_r,
+    derivative_r: np.ndarray | None,
     activation_r: ActivationKind,
-    sigmoid_r: np.ndarray | None = None,
     output_r: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Error signal of a hidden layer from the layer above it.
+    """Error signal of a hidden layer from the layer above it:
+    ``J_r * (W_next^T delta_next)``.
 
-    Given the layer's cached ``sigmoid_r`` and output ``output_r`` (sigmoid
-    and swish layers), the Jacobian is built from them, not from ``preact_r``.
+    ``derivative_r`` is the layer's cached derivative block (``None`` for
+    identity and softmax); a softmax layer's Jacobian is applied from its
+    output ``output_r``.  Given ``out``, the product ``W_next^T delta_next``
+    is written into it, and so is the result unless the layer is softmax.
     """
-    delta_next = np.asarray(delta_next, dtype=np.float64)
-    w_next = np.asarray(w_next, dtype=np.float64)
     if w_next.shape[0] != delta_next.shape[0]:
         raise ShapeError(
             f"weight shape {w_next.shape} does not consume delta shape {delta_next.shape}"
         )
-    upstream = w_next.T @ delta_next
-    if sigmoid_r is None:
-        return jacobian_product(activation_r, preact_r, upstream)
-    return sigmoid_jacobian_product(activation_r, sigmoid_r, output_r, upstream, out=upstream)
+    upstream = np.matmul(w_next.T, delta_next, out=out)
+    return _times_jacobian(activation_r, derivative_r, output_r, upstream)
 
 
 def layer_gradients(delta_r, z_prev_train) -> tuple[np.ndarray, np.ndarray]:
@@ -283,29 +297,40 @@ def layer_gradients(delta_r, z_prev_train) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _backward_pass(
-    state: NetworkState, cache: ForwardCache, train_targets: np.ndarray, loss: LossKind
+    state: NetworkState,
+    cache: ForwardCache,
+    train_targets: np.ndarray,
+    loss: LossKind,
+    *,
+    deltas: list[np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients for every layer, output first in computation, returned in
-    layer order (index l-1 for layer l)."""
+    """Gradients for every layer in layer order (index l-1 for layer l),
+    computed from the output layer down:
+
+        delta_L = loss gradient * J_L
+        grad W_l = delta_l Z_{l-1}^T / p
+        delta_l = J_l * (W_{l+1}^T delta_{l+1})
+
+    ``deltas`` takes one ``(q_l, p)`` block per hidden layer, in layer
+    order, to hold delta_l; without it each delta is a new block.
+    """
     p = train_targets.shape[1]
     k = len(state.weights)
-    sigmoids = cache.sigmoids or [None] * k
-    deltas: list[np.ndarray | None] = [None] * k
-    deltas[k - 1] = output_delta(cache, train_targets, loss, state.activations[k - 1])
-    for r in range(k - 1, 0, -1):
-        sig = sigmoids[r - 1]
-        deltas[r - 1] = hidden_delta(
-            deltas[r],
-            state.weights[r],
-            cache.preactivations[r - 1][:, :p],
-            state.activations[r - 1],
-            sigmoid_r=None if sig is None else sig[:, :p],
-            output_r=cache.activations[r - 1][:, :p],
-        )
-    grads = []
-    for l in range(1, k + 1):
-        z_prev = cache.z0 if l == 1 else cache.activations[l - 2]
-        grads.append(layer_gradients(deltas[l - 1], z_prev[:, :p]))
+    grads = [None] * k
+    delta = output_delta(cache, train_targets, loss, state.activations[-1])
+    for l in range(k - 1, -1, -1):
+        z_prev = cache.z0 if l == 0 else cache.activations[l - 1]
+        grads[l] = layer_gradients(delta, z_prev[:, :p])
+        if l:
+            j = cache.derivatives[l - 1]
+            delta = hidden_delta(
+                delta,
+                state.weights[l],
+                None if j is None else j[:, :p],
+                state.activations[l - 1],
+                z_prev[:, :p],
+                out=None if deltas is None else deltas[l - 1],
+            )
     return grads
 
 
@@ -349,6 +374,7 @@ def train(
     losses: list[float] = []
     epochs = 0
     cache = None
+    deltas = [np.empty((w.shape[1], p)) for w in state.weights[1:]]
 
     while gap > config.tolerance and epochs < config.max_epochs:
         epoch = epochs + 1
@@ -358,7 +384,8 @@ def train(
             losses.append(theta)
             gap = abs(theta - theta_prev)
             if gap >= config.tolerance:
-                grads = _backward_pass(state, cache, train_targets, config.loss)
+                grads = _backward_pass(state, cache, train_targets, config.loss,
+                                       deltas=deltas)
                 for l in range(len(state.weights) - 1, -1, -1):
                     grad_w, grad_b = grads[l]
                     state.weights[l], state.weight_opt[l] = optimizer_step(

@@ -1,17 +1,15 @@
 """Independent reference computations used as test oracles.
 
-Nothing here touches the library's solver paths: linear systems are
-solved by straightforward Gaussian elimination, derivatives by central
-finite differences, and network gradients by perturbing one parameter
-at a time and re-running the forward pass.
+Nothing here calls regkit: linear systems are solved by straightforward
+Gaussian elimination, derivatives by central finite differences, and
+network gradients by perturbing one parameter at a time and re-running a
+forward pass and loss written here.  A network is read only through its
+weights, biases and activation names.
 """
 
 from fractions import Fraction
 
 import numpy as np
-
-from regkit.losses import column_losses
-from regkit.network import predict
 
 
 def gauss_solve(a, b):
@@ -37,9 +35,41 @@ def central_diff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def _logistic(s):
+    return 0.5 * (1.0 + np.tanh(0.5 * s))
+
+
+def _softmax(s):
+    e = np.exp(s - s.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+_ACTIVATIONS = {
+    "identity": lambda s: s,
+    "sigmoid": _logistic,
+    "swish": lambda s: s * _logistic(s),
+    "softmax": _softmax,
+}
+
+# Mean over the m outputs of each column.
+_LOSSES = {
+    "mse": lambda r: np.mean(r * r, axis=0),
+    "log_cosh": lambda r: np.mean(np.log(np.cosh(r)), axis=0),
+}
+
+
+def network_outputs(state, features):
+    """The network's outputs for feature columns, one sample per column."""
+    z = np.asarray(features, dtype=np.float64)
+    for w, b, kind in zip(state.weights, state.biases, state.activations):
+        z = _ACTIVATIONS[kind.name](w @ z + b)
+    return z
+
+
 def batch_loss(state, loss_kind, features, targets):
     """Mean per-sample loss of the network over the given columns."""
-    return float(np.mean(column_losses(loss_kind, predict(state, features), targets)))
+    residual = network_outputs(state, features) - np.asarray(targets, dtype=np.float64)
+    return float(np.mean(_LOSSES[loss_kind.name](residual)))
 
 
 def numeric_network_gradients(state, loss_kind, features, targets, h=1e-5):

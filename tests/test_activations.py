@@ -12,14 +12,14 @@ from regkit.activations import (
     ACTIVATION_NAMES,
     ActivationKind,
     _sigmoid,
-    apply_keeping_sigmoid,
+    activate_rows,
     apply_matrix,
     apply_scalar,
     derivative_matrix,
     derivative_scalar,
     jacobian_product,
     parse_activation,
-    sigmoid_jacobian_product,
+    row_blocks,
 )
 
 ELEMENTWISE = [name for name in ACTIVATION_NAMES if name != "softmax"]
@@ -281,7 +281,7 @@ class TestBranchFreeSigmoid:
     FIXED = np.array([
         0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf,
         5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-        1e-310, -1e-310, 36.7, -36.7, 709.8, -709.8, np.nan,
+        1e-310, -1e-310, 1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8, np.nan,
     ])
 
     def test_fixed_cases_match_masked_form(self):
@@ -298,17 +298,42 @@ class TestBranchFreeSigmoid:
         _assert_same_bits(_sigmoid(x), _sigmoid_masked(x))
 
 
-class TestCachedSigmoidJacobian:
-    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
-    def test_forward_blocks_match_apply_matrix(self, name):
+def _activate(kind, x):
+    """Z and J of ``x`` from ``activate_rows`` over ``row_blocks``, as ``forward`` runs them."""
+    j = np.array(x, dtype=np.float64)  # J is written over this copy
+    z = np.empty(j.shape)
+    for rows, e, sig in row_blocks(j, 2):
+        activate_rows(kind, j[rows], z[rows], e, sig)
+    return z, j
+
+
+# Signed zeros, subnormals, the exp underflow edge (+-745) and beyond it (+-800),
+# mixed with any finite value.  At +-inf swish's x * sigmoid(x) is an invalid inf * 0.
+EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+])
+FINITE = st.one_of(EDGES, st.floats(allow_nan=False, allow_infinity=False,
+                                    allow_subnormal=True))
+
+
+class TestActivateRows:
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_matches_apply_and_derivative_matrix(self, name):
         kind = ActivationKind(name)
         pre = np.random.default_rng(12).normal(scale=4.0, size=(5, 7))
-        out, sig = apply_keeping_sigmoid(kind, pre)
-        np.testing.assert_array_equal(out, apply_matrix(kind, pre))
-        if name in ("sigmoid", "swish"):
-            _assert_same_bits(sig, _sigmoid_masked(pre))
-        else:
-            assert sig is None
+        z, j = _activate(kind, pre)
+        _assert_same_bits(z, apply_matrix(kind, pre))
+        _assert_same_bits(j, derivative_matrix(kind, pre))
+
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
+                    elements=FINITE))
+    def test_matches_apply_and_derivative_matrix_bit_for_bit(self, name, x):
+        kind = ActivationKind(name)
+        z, j = _activate(kind, x)
+        _assert_same_bits(z, apply_matrix(kind, x))
+        _assert_same_bits(j, derivative_matrix(kind, x))
 
     @pytest.mark.parametrize("name", ["sigmoid", "swish"])
     def test_bit_identical_to_jacobian_product(self, name):
@@ -316,21 +341,16 @@ class TestCachedSigmoidJacobian:
         rng = np.random.default_rng(13)
         pre = rng.normal(scale=6.0, size=(6, 9))
         up = rng.normal(size=(6, 5))
-        out, sig = apply_keeping_sigmoid(kind, pre)
-        _assert_same_bits(
-            sigmoid_jacobian_product(kind, sig[:, :5], out[:, :5], up),
-            jacobian_product(kind, pre[:, :5], up),
-        )
+        _, j = _activate(kind, pre)
+        _assert_same_bits(up * j[:, :5], jacobian_product(kind, pre[:, :5], up))
 
-    def test_shape_mismatch_rejected(self):
+    def test_softmax_rejected(self):
         with pytest.raises(ValueError):
-            sigmoid_jacobian_product(
-                ActivationKind("swish"), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3))
-            )
+            activate_rows(ActivationKind("softmax"), *np.ones((4, 2, 3)))
 
 
 def _boundary_case(name):
-    """Inputs around the sigmoid kernels' row-block size, in several layouts."""
+    """Inputs around the kernels' row-block size, in several layouts."""
     rng = np.random.default_rng(17)
     width = 300
     rows = _BLOCK_BYTES // (8 * width)  # rows per block at this width
@@ -361,49 +381,34 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("case", BOUNDARY_CASES)
     def test_sigmoid_and_swish_match_masked_form(self, case):
         x = _boundary_case(case)
-        _assert_same_bits(_sigmoid(x), _sigmoid_masked(x))
-        z, sig = apply_keeping_sigmoid(ActivationKind("swish"), x)
-        _assert_same_bits(sig, _sigmoid_masked(x))
-        _assert_same_bits(z, x * _sigmoid_masked(x))
+        s = _sigmoid_masked(x)
+        _assert_same_bits(_sigmoid(x), s)
+        z, j = _activate(ActivationKind("swish"), x)
+        _assert_same_bits(z, x * s)
+        _assert_same_bits(j, s + x * s * (1.0 - s))
 
     @pytest.mark.parametrize("name", ["sigmoid", "swish"])
     @pytest.mark.parametrize("case", BOUNDARY_CASES)
-    def test_jacobian_product_into_out_matches_references(self, case, name):
+    def test_cached_derivative_matches_references(self, case, name):
         kind = ActivationKind(name)
         x = _boundary_case(case)
         up = np.random.default_rng(18).normal(size=x.shape)
         s = _sigmoid_masked(x)
-        z = s if name == "sigmoid" else x * s
         derivative = s * (1.0 - s) if name == "sigmoid" else s + x * s * (1.0 - s)
         expected = derivative * up
         _assert_same_bits(jacobian_product(kind, x, up), expected)
-        out, sig = apply_keeping_sigmoid(kind, x)
-        kept = up.copy()
-        fresh = sigmoid_jacobian_product(kind, sig, out, up)
-        _assert_same_bits(fresh, expected)
-        np.testing.assert_array_equal(up.view(np.uint64), kept.view(np.uint64))
-        into = sigmoid_jacobian_product(kind, sig, out, up, out=up)
-        assert into is up
-        _assert_same_bits(into, expected)
-        _assert_same_bits(sigmoid_jacobian_product(kind, s, z, kept, out=np.empty(x.shape)),
-                          expected)
+        z, j = _activate(kind, x)
+        _assert_same_bits(z, s if name == "sigmoid" else x * s)
+        _assert_same_bits(up * j, expected)
 
-    def test_out_of_the_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            sigmoid_jacobian_product(
-                ActivationKind("sigmoid"), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)),
-                out=np.empty((2, 3)),
-            )
-
-    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
-    def test_forward_blocks_written_into_out(self, name):
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_reused_blocks_hold_no_stale_values(self, name):
         kind = ActivationKind(name)
-        rng = np.random.default_rng(19)
-        first, later = rng.normal(scale=4.0, size=(2, 5, 7))
-        out = apply_keeping_sigmoid(kind, first)
-        again = apply_keeping_sigmoid(kind, later, out=out)
-        assert again[0] is out[0] and again[1] is out[1]
-        expected = apply_keeping_sigmoid(kind, later)
-        np.testing.assert_array_equal(again[0], expected[0])
-        if expected[1] is not None:
-            np.testing.assert_array_equal(again[1], expected[1])
+        first, later = np.random.default_rng(19).normal(scale=4.0, size=(2, 5, 7))
+        z = np.empty((5, 7))
+        e, sig = np.full((2, 5, 7), np.nan)
+        activate_rows(kind, first.copy(), z, e, sig)
+        j = later.copy()
+        activate_rows(kind, j, z, e, sig)
+        _assert_same_bits(z, apply_matrix(kind, later))
+        _assert_same_bits(j, derivative_matrix(kind, later))

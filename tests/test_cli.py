@@ -274,6 +274,42 @@ class TestClosedStdout:
         assert out.exists()
 
 
+class TestOutOfMemory:
+    # The child caps its own address space before it imports numpy, so the
+    # 2.98 GiB X^T X of 3 rows x 20,000 features cannot be allocated.
+    LIMIT = 3 << 29  # 1.5 GiB
+    CHILD = ("import resource, sys\n"
+             "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+             "cap = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+             "from regkit.cli import cli_main\n"
+             "sys.exit(cli_main(sys.argv[1:]))\n")
+
+    def test_allocation_failure_exits_2_with_one_line(self, tmp_path):
+        n = 20_000
+        names = [f"x{i}" for i in range(n)]
+        rows = np.random.default_rng(24).normal(size=(3, n + 1))
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join([",".join(names + ["y"])]
+                                  + [",".join(repr(float(v)) for v in row) for row in rows])
+                        + "\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        src = str(Path(regkit.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD.format(limit=self.LIMIT), "ols-fit",
+             "--data", str(data), "--features", ",".join(names), "--targets", "y",
+             "--out", str(model)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: out of memory"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "2.98 GiB" in proc.stderr
+        assert list(tmp_path.iterdir()) == [data]
+
+
 class TestPredictCommand:
     def test_round_trips_normalization(self, tmp_path):
         data = _write_line_csv(tmp_path)

@@ -5,14 +5,20 @@ import pytest
 
 import regkit.network
 from oracles import gradient_errors, numeric_network_gradients
-from regkit.activations import ACTIVATION_NAMES, ActivationKind, jacobian_product
+from regkit.activations import (
+    _BLOCK_BYTES,
+    ACTIVATION_NAMES,
+    ActivationKind,
+    apply_matrix,
+    derivative_matrix,
+    jacobian_product,
+)
 from regkit.errors import DivergenceError, ShapeError
 from regkit.initializers import InitializerKind
 from regkit.losses import LossKind, loss_gradient
 from regkit.network import (
     STOP_MAX_EPOCHS,
     STOP_TOLERANCE,
-    ForwardCache,
     LayerSpec,
     NetworkConfig,
     _backward_pass,
@@ -95,17 +101,23 @@ class TestForward:
         state = init_network(_config([(4, "swish"), (2, "sigmoid")]), 3)
         cache = forward(state, np.ones((3, 11)))
         assert all(z.shape[1] == 11 for z in cache.activations)
-        assert all(s.shape[1] == 11 for s in cache.preactivations)
+        assert all(j.shape[1] == 11 for j in cache.derivatives)
 
-    def test_activations_are_of_preactivations(self):
-        state = init_network(_config([(3, "sigmoid")]), 2)
-        cache = forward(state, np.random.default_rng(1).normal(size=(2, 4)))
-        from regkit.activations import apply_matrix
-
-        np.testing.assert_array_equal(
-            cache.activations[0],
-            apply_matrix(ActivationKind("sigmoid"), cache.preactivations[0]),
-        )
+    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
+    def test_cache_holds_apply_and_derivative_matrix(self, name):
+        state = init_network(_config([(4, name), (3, name)]), 2)
+        cache = forward(state, np.random.default_rng(1).normal(scale=3.0, size=(2, 6)))
+        kind = ActivationKind(name)
+        z_prev = cache.z0
+        for w, b, z, j in zip(state.weights, state.biases, cache.activations,
+                              cache.derivatives):
+            s = w @ z_prev + b
+            _assert_same_bits(z, apply_matrix(kind, s))
+            if name in ("identity", "softmax"):
+                assert j is None
+            else:
+                _assert_same_bits(j, derivative_matrix(kind, s))
+            z_prev = z
 
     def test_wrong_row_count_rejected(self):
         state = init_network(_config([(2, "relu")]), 3)
@@ -118,6 +130,18 @@ class TestForward:
         state.weights[1][:] = 1e308
         with pytest.raises(DivergenceError, match="layer 2"):
             forward(state, np.full((1, 2), 1e9))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("name", ["identity", "swish"])
+    @pytest.mark.parametrize("row", [1, 5])
+    @pytest.mark.parametrize("cols", [3, _BLOCK_BYTES // 8 + 1])
+    def test_divergence_in_any_row_is_caught(self, name, row, cols):
+        # The finite check runs per row block: 3 columns put all six rows in
+        # one block, a row wider than a block puts each row in its own.
+        state = init_network(_config([(6, name), (1, "identity")]), 1)
+        state.weights[0][row] = 1e308
+        with pytest.raises(DivergenceError, match="layer 1"):
+            forward(state, np.full((1, cols), 1e9))
 
 
 class TestPredict:
@@ -195,8 +219,7 @@ class TestDeltas:
         rng = np.random.default_rng(6)
         d_next = rng.normal(size=(3, 5))
         w_next = rng.normal(size=(3, 2))
-        pre = rng.normal(size=(2, 5))
-        delta = hidden_delta(d_next, w_next, pre, ActivationKind("identity"))
+        delta = hidden_delta(d_next, w_next, None, ActivationKind("identity"))
         np.testing.assert_allclose(delta, w_next.T @ d_next)
 
     def test_hidden_delta_shape_mismatch(self):
@@ -307,19 +330,28 @@ class TestValidationIsolation:
             np.testing.assert_array_equal(gb0, gb1)
 
 
-def _reference_gradients(state, cache, targets, loss):
-    """Backprop through the public ``jacobian_product`` at the pre-activations."""
+def _assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _reference_gradients(state, z0, targets, loss):
+    """Backprop through the public ``jacobian_product`` at pre-activations
+    recomputed here as ``W Z_prev + b``, with Z from ``apply_matrix``."""
     p = targets.shape[1]
     acts = state.activations
-    grad = loss_gradient(loss, cache.activations[-1][:, :p], targets)
-    delta = jacobian_product(acts[-1], cache.preactivations[-1][:, :p], grad)
+    pre, outs = [], [z0]
+    for w, b, act in zip(state.weights, state.biases, acts):
+        pre.append(w @ outs[-1] + b)
+        outs.append(apply_matrix(act, pre[-1]))
+    grad = loss_gradient(loss, outs[-1][:, :p], targets)
+    delta = jacobian_product(acts[-1], pre[-1][:, :p], grad)
     grads = [None] * len(acts)
     for l in range(len(acts) - 1, -1, -1):
-        z_prev = (cache.z0 if l == 0 else cache.activations[l - 1])[:, :p]
+        z_prev = outs[l][:, :p]
         grads[l] = ((delta @ z_prev.T) / p, delta.sum(axis=1, keepdims=True) / p)
         if l:
             upstream = state.weights[l].T @ delta
-            delta = jacobian_product(acts[l - 1], cache.preactivations[l - 1][:, :p], upstream)
+            delta = jacobian_product(acts[l - 1], pre[l - 1][:, :p], upstream)
     return grads
 
 
@@ -329,22 +361,27 @@ class TestCachedBackwardPass:
         rng = np.random.default_rng(14)
         config = _config([(5, name), (4, name), (3, name)], seed=2)
         state = init_network(config, 3)
-        cache = forward(state, rng.normal(scale=2.0, size=(3, 11)))
+        z0 = rng.normal(scale=2.0, size=(3, 11))
+        cache = forward(state, z0)
         targets = rng.normal(size=(3, 8))
-        expected = _reference_gradients(state, cache, targets, config.loss)
-        bare = ForwardCache(cache.z0, cache.preactivations, cache.activations)
+        expected = _reference_gradients(state, z0, targets, config.loss)
+        deltas = [np.full((w.shape[1], 8), np.nan) for w in state.weights[1:]]
         for grads in (_backward_pass(state, cache, targets, config.loss),
-                      _backward_pass(state, bare, targets, config.loss)):
+                      _backward_pass(state, cache, targets, config.loss, deltas=deltas),
+                      _backward_pass(state, cache, targets, config.loss, deltas=deltas)):
             for (gw, gb), (ew, eb) in zip(grads, expected):
-                np.testing.assert_array_equal(gw.view(np.uint64), ew.view(np.uint64))
-                np.testing.assert_array_equal(gb.view(np.uint64), eb.view(np.uint64))
+                _assert_same_bits(gw, ew)
+                _assert_same_bits(gb, eb)
 
-    def test_only_sigmoid_kinds_cache_a_sigmoid(self):
-        config = _config([(3, "swish"), (3, "relu"), (2, "sigmoid"), (1, "identity")])
+    def test_only_elementwise_kinds_cache_a_derivative(self):
+        config = _config([(3, "swish"), (3, "relu"), (2, "softmax"), (2, "sigmoid"),
+                          (1, "identity")])
         state = init_network(config, 2)
         cache = forward(state, np.ones((2, 4)))
-        assert [sig is None for sig in cache.sigmoids] == [False, True, False, True]
-        assert cache.sigmoids[2] is cache.activations[2]
+        assert [j is None for j in cache.derivatives] == [False, False, True, False, True]
+        blocks = [b for b in cache.activations + cache.derivatives if b is not None]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks)
+                       for b in blocks[i + 1:])
 
     def test_train_holds_one_epoch_cache_at_a_time(self):
         rng = np.random.default_rng(15)
@@ -353,8 +390,8 @@ class TestCachedBackwardPass:
         train_f, val_f = rng.normal(size=(4, 1600)), rng.normal(size=(4, 400))
         train_t, val_t = rng.normal(size=(1, 1600)), rng.normal(size=(1, 400))
         cache = forward(state, np.hstack([train_f, val_f]))
-        blocks = cache.preactivations + cache.activations + cache.sigmoids
-        cache_bytes = sum({id(b): b.nbytes for b in blocks if b is not None}.values())
+        blocks = cache.activations + cache.derivatives
+        cache_bytes = sum(b.nbytes for b in blocks if b is not None)
         del cache, blocks
         tracemalloc.start()
         try:
@@ -373,7 +410,7 @@ class TestReusedForwardBlocks:
         config = _config([(6, "swish"), (5, "relu"), (4, "sigmoid"), (2, "identity")])
         state = init_network(config, 3)
         prev = forward(state, rng.normal(size=(3, 9)))
-        blocks = [prev.preactivations, prev.activations, prev.sigmoids]
+        blocks = [prev.activations, prev.derivatives]
         ids = [[id(b) for b in group] for group in blocks]
         for w in state.weights:
             w += rng.normal(scale=0.1, size=w.shape)
@@ -382,7 +419,7 @@ class TestReusedForwardBlocks:
         again = forward(state, z0, out=prev)
         assert again is prev and again.z0 is fresh.z0
         assert [[id(b) for b in group] for group in blocks] == ids
-        for got, want in zip(blocks, [fresh.preactivations, fresh.activations, fresh.sigmoids]):
+        for got, want in zip(blocks, [fresh.activations, fresh.derivatives]):
             for g, w in zip(got, want):
                 if w is None:
                     assert g is None
@@ -398,8 +435,9 @@ class TestReusedForwardBlocks:
 
     def test_epochs_after_the_first_reuse_the_cache(self, monkeypatch):
         # ann-wide's layer shape: 256 units over 4000 training and 1000 validation
-        # columns.  A later epoch allocates only the backward pass's (256, 4000)
-        # delta and the kernels' scratch blocks, less than one (256, 5000) block.
+        # columns.  A later epoch allocates only the kernels' scratch blocks and
+        # the gradients, about a twentieth of one (256, 5000) block: the deltas
+        # are allocated once, before the first epoch.
         rng = np.random.default_rng(21)
         config = _config([(256, "swish"), (1, "identity")], optimizer="adam", epochs=3)
         state = init_network(config, 4)
@@ -423,8 +461,46 @@ class TestReusedForwardBlocks:
             tracemalloc.stop()
         assert report.epochs_run == 3
         growth = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
-        assert growth[0] >= 3 * block  # S, Z and sigmoid(S) of the swish layer
-        assert all(g < block for g in growth[1:]), [g / block for g in growth]
+        assert growth[0] >= 2 * block  # J and Z of the swish layer
+        assert all(g < 0.1 * block for g in growth[1:]), [g / block for g in growth]
+
+
+class TestTrainingMemory:
+    # Two hidden swish layers of 64 units over 1600 training and 400 validation columns.
+    LAYERS = [(64, "swish"), (64, "swish"), (1, "identity")]
+    DELTA_BYTES = 64 * 1600 * 8  # one (q, p) block
+
+    def _data(self):
+        rng = np.random.default_rng(22)
+        return (rng.normal(size=(4, 1600)), rng.normal(size=(1, 1600)),
+                rng.normal(size=(4, 400)), rng.normal(size=(1, 400)))
+
+    def test_cache_holds_two_blocks_per_elementwise_layer(self):
+        state = init_network(_config(self.LAYERS), 4)
+        cache = forward(state, np.random.default_rng(23).normal(size=(4, 2000)))
+        held = [[b for b in pair if b is not None]
+                for pair in zip(cache.activations, cache.derivatives)]
+        assert [len(blocks) for blocks in held] == [2, 2, 1]
+        assert sum(b.nbytes for blocks in held for b in blocks) == (4 * 64 + 1) * 2000 * 8
+
+    def _train_peak(self, epochs):
+        config = _config(self.LAYERS, optimizer="adam", epochs=epochs)
+        state = init_network(config, 4)
+        data = self._data()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = train(state, *data, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.epochs_run == epochs
+        return peak
+
+    def test_later_epochs_add_less_than_one_delta_block(self):
+        one, two, six = (self._train_peak(epochs) for epochs in (1, 2, 6))
+        assert six - two < self.DELTA_BYTES, (one, two, six)
+        assert two - one < self.DELTA_BYTES, (one, two, six)
 
 
 class TestTrain:
