@@ -207,9 +207,14 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
             f"shape mismatch: {preactivations.shape} vs {upstream.shape}"
         )
     if kind.name == "softmax":
-        s = softmax_columns(preactivations)
-        return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
+        return softmax_jacobian_product(softmax_columns(preactivations), upstream)
     return _derivative_elementwise(kind, preactivations) * upstream
+
+
+def softmax_jacobian_product(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Each column ``u`` of ``upstream`` times the softmax Jacobian at the
+    output column ``s``: ``s * (u - s . u)``."""
+    return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
 
 
 def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray,

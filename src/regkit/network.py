@@ -29,6 +29,7 @@ from .activations import (
     apply_matrix,
     row_blocks,
     softmax_columns,
+    softmax_jacobian_product,
 )
 from .errors import DivergenceError, ShapeError
 from .initializers import InitializerKind, init_biases, init_weights, make_rng
@@ -229,7 +230,7 @@ def _times_jacobian(act: ActivationKind, derivative, output, upstream) -> np.nda
     ``upstream`` times the derivative block, in place, or for softmax
     ``s (u - s . u)`` with the layer output s."""
     if act.name == "softmax":
-        return output * (upstream - (output * upstream).sum(axis=0, keepdims=True))
+        return softmax_jacobian_product(output, upstream)
     if derivative is not None:
         upstream *= derivative
     return upstream
@@ -269,6 +270,8 @@ def hidden_delta(
     output ``output_r``.  Given ``out``, the product ``W_next^T delta_next``
     is written into it, and so is the result unless the layer is softmax.
     """
+    delta_next = np.asarray(delta_next, dtype=np.float64)
+    w_next = np.asarray(w_next, dtype=np.float64)
     if w_next.shape[0] != delta_next.shape[0]:
         raise ShapeError(
             f"weight shape {w_next.shape} does not consume delta shape {delta_next.shape}"

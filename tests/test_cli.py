@@ -295,7 +295,9 @@ class TestOutOfMemory:
                         + "\n", encoding="utf-8")
         model = tmp_path / "model.json"
         src = str(Path(regkit.__file__).resolve().parents[1])
-        env = dict(os.environ,
+        # One BLAS thread: other threads' stacks and buffers would count
+        # against the cap too, however many cores the host has.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD.format(limit=self.LIMIT), "ols-fit",

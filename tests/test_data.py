@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +83,22 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
         block = read_columns(path, ("c", "a"))
         np.testing.assert_array_equal(block, [[3.0, 1.0], [6.0, 4.0]])
+
+    def test_repeated_header_name_reads_its_first_column(self, tmp_path):
+        path = _write(tmp_path, "a,b,a\n1,2,3\n")
+        np.testing.assert_array_equal(read_columns(path, ("b", "a")), [[2.0, 1.0]])
+
+    def test_wide_header_lookup_is_linear(self, tmp_path):
+        # 20,000 names looked up in a 20,000-name header: a list search per
+        # name makes 4e8 string comparisons, several seconds; a dict, 2e4.
+        n = 20_000
+        names = [f"x{i}" for i in range(n)]
+        path = _write(tmp_path, ",".join(names) + "\n" + ",".join(["1"] * n) + "\n")
+        start = time.perf_counter()
+        block = read_columns(path, names[::-1])
+        elapsed = time.perf_counter() - start
+        assert block.shape == (1, n)
+        assert elapsed < 1.5, f"{elapsed:.2f} s to read one row of {n} columns"
 
 
 def _oracle_columns(path, columns):

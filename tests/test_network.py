@@ -407,7 +407,8 @@ class TestCachedBackwardPass:
 class TestReusedForwardBlocks:
     def test_forward_into_out_matches_a_fresh_forward(self):
         rng = np.random.default_rng(20)
-        config = _config([(6, "swish"), (5, "relu"), (4, "sigmoid"), (2, "identity")])
+        config = _config([(6, "swish"), (5, "relu"), (4, "softmax"), (4, "sigmoid"),
+                          (2, "identity")])
         state = init_network(config, 3)
         prev = forward(state, rng.normal(size=(3, 9)))
         blocks = [prev.activations, prev.derivatives]
