@@ -78,12 +78,15 @@ def row_blocks(x: np.ndarray, scratch: int = 0):
 
 
 def _sigmoid_into(x: np.ndarray, sig: np.ndarray, e: np.ndarray) -> None:
-    """Write ``sigmoid(x)`` into ``sig``, with ``e`` as scratch."""
+    """Write ``sigmoid(x)`` into ``sig``, which may be ``x`` itself, with
+    ``e`` as scratch."""
     # maximum([x >= 0], e) / (1 + e) with e = exp(-|x|): the numerator is 1
     # for x >= 0 (e <= 1) and e = exp(x) below, so each entry is the division
     # the sign branches make (1/(1+e) and e/(1+e)), with one exponential,
     # no mask and no select.  The exponent is never positive, so none overflows.
-    np.copysign(x, -1.0, out=e)
+    # -|x| as abs then negative: the bits of copysign(x, -1) in about half its time.
+    np.abs(x, out=e)
+    np.negative(e, out=e)
     np.exp(e, out=e)
     np.greater_equal(x, 0.0, out=sig)
     np.maximum(sig, e, out=sig)
@@ -241,3 +244,19 @@ def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray,
     else:
         z[...] = _apply_elementwise(kind, s)
         s[...] = _derivative_elementwise(kind, s)
+
+
+def apply_rows(kind: ActivationKind, s: np.ndarray, e: np.ndarray, sig: np.ndarray) -> None:
+    """Write ``apply_matrix(kind, s)`` over ``s``, bit for bit, for an
+    elementwise kind other than identity.
+
+    ``e`` and ``sig`` are scratch blocks of ``s``'s shape; only sigmoid and
+    swish use them.
+    """
+    if kind.name == "sigmoid":
+        _sigmoid_into(s, s, e)
+    elif kind.name == "swish":
+        _sigmoid_into(s, sig, e)
+        s *= sig
+    else:
+        s[...] = _apply_elementwise(kind, s)

@@ -210,13 +210,19 @@ def _run_predict(args) -> int:
     model = load_model(args.model)
     rows = read_columns(args.data, model.feature_stats.columns)
     predictions = predict_rows(model, rows)
-    with replacing_writer(args.out, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(model.target_stats.columns)
-        for row in predictions:
-            writer.writerow([repr(float(value)) for value in row])
+    _write_predictions(args.out, model.target_stats.columns, predictions)
     _report(f"wrote {predictions.shape[0]} predictions to {args.out}")
     return 0
+
+
+def _write_predictions(path, header, predictions) -> None:
+    """Write ``header`` and one CSV row per prediction row, each value as
+    its shortest repr, in the bytes ``csv.writer`` writes."""
+    with replacing_writer(path, newline="") as handle:
+        csv.writer(handle).writerow(header)
+        # A float's repr never needs quoting, so one join makes the rows.
+        handle.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in predictions.tolist()))
 
 
 def _run_gradcheck(args) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from .activations import (
     ActivationKind,
     activate_rows,
-    apply_matrix,
+    apply_rows,
     row_blocks,
     softmax_columns,
     softmax_jacobian_product,
@@ -189,11 +189,7 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
         z = out.activations[i] if keep else s
         if z is None:
             z = np.empty(s.shape)
-        for rows, *scratch in row_blocks(s, 2 if keep else 0):
-            block = s[rows]
-            block += b[rows]
-            if not np.isfinite(block).all():
-                raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
+        for rows, block, scratch in _biased_blocks(i + 1, s, b, 2 if keep else 0):
             if keep:
                 activate_rows(act, block, z[rows], *scratch)
         if act.name == "softmax":
@@ -203,14 +199,34 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
 
 
 def predict(state: NetworkState, features) -> np.ndarray:
-    """Forward pass without caching; columns of ``features`` are samples."""
+    """Forward pass without a cache; columns of ``features`` are samples.
+
+    Each layer's Z is written over its ``S = W Z_prev + b`` one row block
+    at a time, as in ``forward``, so no more than two layer blocks are
+    alive at once.
+    """
     z = _input_block(state, features)
     for l, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations), 1):
-        s = w @ z + b
-        if not np.isfinite(s).all():
-            raise DivergenceError(f"non-finite pre-activations in layer {l}")
-        z = apply_matrix(act, s)
+        z = w @ z
+        elementwise = act.name not in ("identity", "softmax")
+        for _, block, scratch in _biased_blocks(l, z, b, 2 if elementwise else 0):
+            if elementwise:
+                apply_rows(act, block, *scratch)
+        if act.name == "softmax":
+            softmax_columns(z, out=z)
     return z
+
+
+def _biased_blocks(layer: int, s: np.ndarray, b: np.ndarray, scratch: int):
+    """Add the bias column ``b`` to ``s = W Z_prev`` one row block at a time,
+    checking that each block is finite, and yield its rows, the block and
+    a list of ``scratch`` scratch blocks of its shape."""
+    for rows, *buf in row_blocks(s, scratch):
+        block = s[rows]
+        block += b[rows]
+        if not np.isfinite(block).all():
+            raise DivergenceError(f"non-finite pre-activations in layer {layer}")
+        yield rows, block, buf
 
 
 def batch_validation_loss(cache: ForwardCache, val_targets, loss: LossKind) -> float:

@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import regkit
 import regkit.model_io
-from regkit.cli import cli_main
+from regkit.cli import _write_predictions, cli_main
 from regkit.model_io import load_model, predict_rows
 
 
@@ -347,6 +348,32 @@ class TestPredictCommand:
         code = cli_main(["predict", "--model", str(bad), "--data", str(bad),
                          "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+
+class TestPredictionsWriter:
+    @staticmethod
+    def _csv_writer_bytes(header, predictions):
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        for row in predictions:
+            writer.writerow([repr(float(value)) for value in row])
+        return buffer.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("header, rows", [
+        (["y"], [[-0.0], [5e-324], [1e16], [-1.5e-300], [0.1]]),
+        (["a", "b", "c", "d"], [[-0.0, 5e-324, 1e16, -1.5e-300], [1.0, -2.5, 1.7e308, 3.0]]),
+        (["a,b"], [[2.0], [-0.0]]),
+    ])
+    def test_bytes_match_csv_writer(self, tmp_path, header, rows):
+        path = tmp_path / "pred.csv"
+        _write_predictions(path, header, np.array(rows))
+        assert path.read_bytes() == self._csv_writer_bytes(header, np.array(rows))
+
+    def test_header_that_needs_quoting_stays_quoted(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        _write_predictions(path, ["a,b", "c"], np.array([[1e16, -0.0]]))
+        assert path.read_bytes() == b'"a,b",c\r\n1e+16,-0.0\r\n'
 
 
 def _fill_disk_after(monkeypatch, chars):

@@ -157,6 +157,66 @@ class TestPredict:
         state.biases[0][:] = [[1.0]]
         np.testing.assert_allclose(predict(state, [[0.0, 2.0]]), [[1.0, 5.0]])
 
+    # At this many columns a row block holds 4 rows of a layer block.
+    COLS = _BLOCK_BYTES // (8 * 4)
+
+    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
+    @pytest.mark.parametrize("units", [3, 4, 5])  # block rows - 1, block rows, + 1
+    def test_bit_identical_to_the_unblocked_reference(self, name, units):
+        # Every layer of the kind named, so softmax runs as a hidden and as
+        # the output layer.  The input is Fortran-ordered, as predict_rows
+        # passes its normalized rows transposed.
+        rng = np.random.default_rng(30)
+        state = init_network(_config([(units, name), (units, name), (2, name)]), 3)
+        for b in state.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(scale=3.0, size=(self.COLS, 3)).T
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        _assert_same_bits(predict(state, x), _reference_predict(state, x))
+
+    def test_mixed_kinds_bit_identical_to_the_unblocked_reference(self):
+        rng = np.random.default_rng(31)
+        config = _config([(6, "swish"), (5, "softmax"), (5, "elu"), (4, "sigmoid"),
+                          (3, "leaky_relu"), (2, "identity")])
+        state = init_network(config, 3)
+        for b in state.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(scale=3.0, size=(3, 13))
+        _assert_same_bits(predict(state, x), _reference_predict(state, x))
+
+    def test_peak_memory_is_about_two_layer_blocks(self):
+        # ann-wide's shape: two 256-unit swish layers over 5,000 columns.  Each
+        # layer's Z is written over its S, so the pass holds the layer's block
+        # and the one below it, plus a row block's scratch.
+        rng = np.random.default_rng(32)
+        state = init_network(_config([(256, "swish"), (256, "swish"), (1, "identity")]), 32)
+        x = rng.normal(size=(5000, 32)).T
+        block = 256 * 5000 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict(state, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 2 * block <= peak <= 2.2 * block, peak / block
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("name", ["identity", "sigmoid", "swish"])
+    def test_divergence_names_the_layer(self, name):
+        # Row 4 of layer 2 lies in its second row block.
+        state = init_network(_config([(5, name), (5, name), (1, "identity")]), 1)
+        state.weights[1][4] = 1e308
+        with pytest.raises(DivergenceError, match="^non-finite pre-activations in layer 2$"):
+            predict(state, np.full((1, self.COLS), 1e9))
+
+
+def _reference_predict(state, z):
+    """Layer by layer ``apply_matrix(f, W Z_prev + b)`` over whole blocks."""
+    for w, b, act in zip(state.weights, state.biases, state.activations):
+        z = apply_matrix(act, w @ z + b)
+    return z
+
 
 class TestValidationLoss:
     def test_zero_when_predictions_match(self):
