@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationKind
-from .data import NormalizationStats, denormalize, normalize
-from .errors import DivergenceError, ModelFormatError
+from .data import ColumnSchema, NormalizationStats, denormalize, normalize
+from .errors import DataError, DivergenceError, ModelFormatError
 from .network import NetworkConfig, NetworkState
 from .network import predict as network_predict
 from .ols import OlsModel
@@ -51,7 +51,11 @@ def _stats_to_json(stats: NormalizationStats) -> dict:
 def _stats_from_json(obj: dict, what: str) -> NormalizationStats:
     try:
         mean, std = _numbers(obj["mean"], "mean"), _numbers(obj["std"], "std")
-        return NormalizationStats(obj["columns"], mean, std)
+        columns = obj["columns"]
+        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+            raise ModelFormatError(f"bad {what} normalization block: "
+                                   "columns must be a list of names")
+        return NormalizationStats(columns, mean, std)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad {what} normalization block: {exc}") from None
 
@@ -163,6 +167,19 @@ def _numbers(values, what: str) -> np.ndarray:
     raise ModelFormatError(f"{what}: values must be finite")
 
 
+def _size(value, what: str) -> int:
+    """A JSON integer >= 1; booleans, floats and strings are errors."""
+    if type(value) is not int or value < 1:
+        raise ModelFormatError(f"{what}: expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _width(value: int, expected: int, what: str, why: str) -> None:
+    """Reject a model width that does not match its normalization block."""
+    if value != expected:
+        raise ModelFormatError(f"{what} is {value}, expected {expected} for {why}")
+
+
 def _reshape(flat, rows: int, cols: int, what: str) -> np.ndarray:
     arr = _numbers(flat, what)
     if arr.shape[0] != rows * cols:
@@ -174,7 +191,8 @@ def _reshape(flat, rows: int, cols: int, what: str) -> np.ndarray:
 
 
 def load_model(path) -> LoadedModel:
-    """Read a model file back; rejects unknown versions and bad shapes."""
+    """Read a model file back; rejects unknown versions, bad shapes and
+    widths that do not match the normalization blocks."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -191,22 +209,35 @@ def load_model(path) -> LoadedModel:
         norm = doc["normalization"]
         feature_stats = _stats_from_json(norm["features"], "feature")
         target_stats = _stats_from_json(norm["targets"], "target")
+        try:
+            ColumnSchema(feature_stats.columns, target_stats.columns)
+        except DataError as exc:
+            raise ModelFormatError(f"{path}: bad normalization columns: {exc}") from None
+        n, m = len(feature_stats.columns), len(target_stats.columns)
         kind = doc["model_kind"]
         if kind == "ols":
             block = doc["ols"]
-            b = _reshape(block["coefficients"], block["rows"], block["cols"], "coefficients")
+            rows, cols = _size(block["rows"], "ols rows"), _size(block["cols"], "ols cols")
+            _width(rows, m, "ols rows", f"{m} target columns")
+            _width(cols, n + 1, "ols cols", f"{n} feature columns and the intercept")
+            b = _reshape(block["coefficients"], rows, cols, "coefficients")
             return LoadedModel("ols", feature_stats, target_stats, ols=OlsModel(b))
         if kind == "ann":
             block = doc["ann"]
-            prev = int(block["input_dim"])
+            prev = _size(block["input_dim"], "input_dim")
+            _width(prev, n, "input_dim", f"{n} feature columns")
+            layers = block["layers"]
+            if not isinstance(layers, list) or not layers:
+                raise ModelFormatError(f"{path}: layers must be a non-empty list")
             weights, biases, acts = [], [], []
-            for i, layer in enumerate(block["layers"], start=1):
-                units = int(layer["units"])
+            for i, layer in enumerate(layers, start=1):
+                units = _size(layer["units"], f"layer {i} units")
                 act = layer["activation"]
                 acts.append(ActivationKind(act["name"], act.get("beta")))
                 weights.append(_reshape(layer["weights"], units, prev, f"layer {i} weights"))
                 biases.append(_reshape(layer["biases"], units, 1, f"layer {i} biases"))
                 prev = units
+            _width(prev, m, f"layer {len(layers)} units", f"{m} target columns")
             optimizer = OptimizerKind(**block["optimizer"])
             state = NetworkState(
                 weights,

@@ -9,8 +9,11 @@ Z and, for an elementwise activation f other than identity, its
 derivative J = f'(S) at the pre-activations ``S = W Z_prev + b``, written
 over S.  The backward pass is the streamlined backpropagation
 ``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training allocates the
-cache's blocks and the hidden layers' delta blocks once: every later
-epoch writes into the blocks of the epoch before.
+cache's blocks once: every later epoch writes into the blocks of the
+epoch before.  Each hidden layer's delta is written over the training
+columns of that layer's own cached Z, which the weight gradient of the
+layer above has read for the last time; only a softmax hidden layer,
+whose Jacobian product reads Z, has a delta block of its own.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -192,6 +195,7 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
         for rows, block, scratch in _biased_blocks(i + 1, s, b, 2 if keep else 0):
             if keep:
                 activate_rows(act, block, z[rows], *scratch)
+        scratch = None  # else it holds this layer's scratch while the next layer's is made
         if act.name == "softmax":
             softmax_columns(s, out=s)
         out.activations[i], out.derivatives[i] = z, s if keep else None
@@ -212,6 +216,7 @@ def predict(state: NetworkState, features) -> np.ndarray:
         for _, block, scratch in _biased_blocks(l, z, b, 2 if elementwise else 0):
             if elementwise:
                 apply_rows(act, block, *scratch)
+        scratch = None
         if act.name == "softmax":
             softmax_columns(z, out=z)
     return z
@@ -331,7 +336,11 @@ def _backward_pass(
         delta_l = J_l * (W_{l+1}^T delta_{l+1})
 
     ``deltas`` takes one ``(q_l, p)`` block per hidden layer, in layer
-    order, to hold delta_l; without it each delta is a new block.
+    order, to hold delta_l; without it each delta is a new block.  An
+    entry may be the training columns of the cache's own Z for that layer
+    (``activations[l-1][:, :p]``), since grad W_{l+1} reads them before
+    delta_l is written, unless the layer is softmax: its Jacobian product
+    reads Z.
     """
     p = train_targets.shape[1]
     k = len(state.weights)
@@ -351,6 +360,14 @@ def _backward_pass(
                 out=None if deltas is None else deltas[l - 1],
             )
     return grads
+
+
+def _delta_blocks(state: NetworkState, cache: ForwardCache, p: int) -> list[np.ndarray]:
+    """The hidden layers' delta blocks for ``train``: each layer's own
+    cached Z over the p training columns, or a new block for a softmax
+    layer, whose Jacobian product reads Z."""
+    return [np.empty((z.shape[0], p)) if act.name == "softmax" else z[:, :p]
+            for z, act in zip(cache.activations[:-1], state.activations[:-1])]
 
 
 def train(
@@ -392,13 +409,14 @@ def train(
     gap = MAX_FLOAT
     losses: list[float] = []
     epochs = 0
-    cache = None
-    deltas = [np.empty((w.shape[1], p)) for w in state.weights[1:]]
+    cache = deltas = None
 
     while gap > config.tolerance and epochs < config.max_epochs:
         epoch = epochs + 1
         try:
             cache = forward(state, z0, out=cache)
+            if deltas is None:
+                deltas = _delta_blocks(state, cache, p)
             theta = batch_validation_loss(cache, val_targets, config.loss)
             losses.append(theta)
             gap = abs(theta - theta_prev)

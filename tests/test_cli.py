@@ -6,15 +6,27 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import regkit
 import regkit.model_io
+from regkit.activations import ActivationKind
 from regkit.cli import _write_predictions, cli_main
-from regkit.model_io import load_model, predict_rows
+from regkit.data import NormalizationStats
+from regkit.initializers import InitializerKind
+from regkit.losses import LossKind
+from regkit.model_io import load_model, predict_rows, save_model
+from regkit.network import LayerSpec, NetworkConfig, init_network
+from regkit.ols import OlsModel
+from regkit.optimizers import OptimizerKind
 
 
 def _write_line_csv(tmp_path, name="line.csv"):
@@ -348,6 +360,111 @@ class TestPredictCommand:
         code = cli_main(["predict", "--model", str(bad), "--data", str(bad),
                          "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+
+_MUTATION_DATA = "a,b,c,y,z\n0.5,-1,2,0,0\n-0.25,3,1,0,0\n1.5,0,-2,0,0\n"
+
+
+@cache
+def _tiny_model_files() -> dict:
+    """The text of a saved OLS model and of a saved 2-3-2 network, both over
+    features a, b and targets y, z."""
+    rng = np.random.default_rng(5)
+    features = NormalizationStats(("a", "b"), [0.1, -0.2], [1.0, 2.0])
+    targets = NormalizationStats(("y", "z"), [3.0, -1.0], [0.5, 4.0])
+    config = NetworkConfig(
+        (LayerSpec(3, ActivationKind("swish")), LayerSpec(2, ActivationKind("identity"))),
+        LossKind("mse"), OptimizerKind("adam"), InitializerKind("xavier"),
+        max_epochs=1, tolerance=1e-8, seed=7,
+    )
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, model in (("ols", OlsModel(rng.normal(size=(2, 3)))),
+                            ("ann", init_network(config, 2))):
+            path = Path(tmp) / "model.json"
+            save_model(path, model, features, targets, config=config)
+            texts[kind] = path.read_text(encoding="utf-8")
+    return texts
+
+
+_WIDTH = st.one_of(st.integers(-1, 4), st.just(10**20), st.booleans(),
+                   st.floats(-2.0, 4.0), st.sampled_from(["2", "", None]),
+                   st.lists(st.integers(0, 3), max_size=2))
+_NAME = st.one_of(st.sampled_from(["a", "b", "c", "y", "z", "q", ""]), st.integers(0, 2),
+                  st.none())
+
+
+@st.composite
+def _mutated_block(draw, block):
+    """A normalization block with its column list changed.  A dropped,
+    repeated or added column takes its mean and std along, except in
+    ``unequal``, which leaves the lists of unequal length."""
+    lists = [list(block[key]) for key in ("columns", "mean", "std")]
+    names = lists[0]
+    i = draw(st.integers(0, len(names) - 1))
+    op = draw(st.sampled_from(["drop", "duplicate", "append", "rename", "reverse",
+                               "unequal", "replace"]))
+    if op == "rename":
+        names[i] = draw(_NAME)
+    elif op == "unequal":
+        names.append(draw(_NAME))
+    elif op == "replace":
+        lists[0] = draw(st.one_of(_NAME, st.just({}), st.just([])))
+    else:
+        added = [draw(_NAME), 0.0, 1.0]
+        for values, new in zip(lists, added):
+            if op == "drop":
+                del values[i]
+            elif op == "duplicate":
+                values.insert(i, values[i])
+            elif op == "append":
+                values.append(new)
+            else:
+                values.reverse()
+    return dict(zip(("columns", "mean", "std"), lists))
+
+
+@st.composite
+def _mutated_model(draw):
+    """A tiny model file with one of its widths, its feature columns or its
+    target columns changed, or more than one of these."""
+    kind = draw(st.sampled_from(["ols", "ann"]))
+    doc = json.loads(_tiny_model_files()[kind])
+    parts = st.sampled_from(["width", "features", "targets"])
+    for part in draw(st.lists(parts, min_size=1, max_size=3, unique=True)):
+        if part != "width":
+            norm = doc["normalization"]
+            norm[part] = draw(_mutated_block(norm[part]))
+        elif kind == "ols":
+            doc["ols"][draw(st.sampled_from(["rows", "cols"]))] = draw(_WIDTH)
+        else:
+            layer = draw(st.sampled_from([None, 0, 1]))
+            block = doc["ann"] if layer is None else doc["ann"]["layers"][layer]
+            block["input_dim" if layer is None else "units"] = draw(_WIDTH)
+    return doc
+
+
+class TestModelFileMutations:
+    @given(doc=_mutated_model())
+    def test_predict_writes_finite_rows_or_exits_2_with_one_line(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            model, data, out = (Path(tmp) / name for name in ("m.json", "d.csv", "p.csv"))
+            model.write_text(json.dumps(doc), encoding="utf-8")
+            data.write_text(_MUTATION_DATA, encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli_main(["predict", "--model", str(model), "--data", str(data),
+                                 "--out", str(out)])
+            if code == 0:
+                header, values = _read_predictions(out)
+                assert header == doc["normalization"]["targets"]["columns"]
+                assert values.shape == (3, len(header))
+                assert np.isfinite(values).all()
+            else:
+                assert code == 2, err.getvalue()
+                assert err.getvalue().startswith("data error: ")
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert not out.exists()
 
 
 class TestPredictionsWriter:

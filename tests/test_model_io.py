@@ -221,3 +221,89 @@ class TestDishonestValues:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=f"layer 2 {field}: values must be finite"):
             load_model(path)
+
+
+class TestModelWidths:
+    """Widths must be JSON integers >= 1 that match the normalization blocks."""
+
+    @staticmethod
+    def _saved(tmp_path, kind):
+        path = tmp_path / "model.json"
+        if kind == "ols":
+            model = OlsModel(np.random.default_rng(3).normal(size=(2, 4)))
+            save_model(path, model, _stats(("a", "b", "c"), [0, 0, 0], [1, 1, 1]),
+                       _stats(("y", "z"), [0, 0], [1, 1]))
+        else:
+            config, state, fstats, tstats = _ann_fixture()
+            save_model(path, state, fstats, tstats, config=config)
+        return path, json.loads(path.read_text())
+
+    def _rejects(self, path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [0, -1, 1.9, 2.0, True, "2", None, [2]])
+    @pytest.mark.parametrize("field", ["input_dim", "units", "rows", "cols"])
+    def test_non_integer_or_non_positive_width_rejected(self, tmp_path, field, value):
+        path, doc = self._saved(tmp_path, "ann" if field in ("input_dim", "units") else "ols")
+        block = doc["ann"]["layers"][1] if field == "units" else doc.get("ann", doc.get("ols"))
+        block[field] = value
+        self._rejects(path, doc, "expected an integer >= 1|malformed")
+
+    def test_zero_unit_hidden_layer_with_empty_weights_rejected(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ann")
+        layers = doc["ann"]["layers"]
+        layers[1].update(units=0, weights=[], biases=[])
+        layers[2]["weights"] = []
+        self._rejects(path, doc, r"layer 2 units: expected an integer >= 1, got 0")
+
+    def test_fractional_units_rejected(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["ann"]["layers"][2]["units"] = 1.9
+        self._rejects(path, doc, r"layer 3 units: expected an integer >= 1, got 1\.9")
+
+    @pytest.mark.parametrize("units", [1, 3])
+    def test_output_units_must_match_the_target_columns(self, tmp_path, units):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["normalization"]["targets"] = {"columns": ["y", "z"], "mean": [0, 0],
+                                           "std": [1, 1]}
+        last = doc["ann"]["layers"][-1]
+        last.update(units=units, weights=[0.5] * (2 * units), biases=[0.0] * units)
+        self._rejects(path, doc, f"layer 3 units is {units}, expected 2 for 2 target")
+
+    def test_input_dim_must_match_the_feature_columns(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["ann"]["input_dim"] = 2
+        doc["ann"]["layers"][0]["weights"] = doc["ann"]["layers"][0]["weights"][:8]
+        self._rejects(path, doc, "input_dim is 2, expected 3 for 3 feature columns")
+
+    def test_ols_cols_must_be_the_feature_count_plus_one(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ols")
+        doc["ols"].update(cols=3, coefficients=doc["ols"]["coefficients"][:6])
+        self._rejects(path, doc, "ols cols is 3, expected 4 for 3 feature columns")
+
+    def test_ols_rows_must_be_the_target_count(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ols")
+        doc["ols"].update(rows=1, coefficients=doc["ols"]["coefficients"][:4])
+        self._rejects(path, doc, "ols rows is 1, expected 2 for 2 target columns")
+
+    @pytest.mark.parametrize("layers", [[], {}, "layers"])
+    def test_layers_must_be_a_non_empty_list(self, tmp_path, layers):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["ann"]["layers"] = layers
+        self._rejects(path, doc, "layers must be a non-empty list")
+
+    @pytest.mark.parametrize("block, columns", [
+        ("features", ["a", "a", "c"]),  # duplicate
+        ("features", ["a", "y", "c"]),  # also a target
+        ("features", ["a", 2, "c"]),  # not a name
+        ("features", "abc"),  # not a list
+        ("targets", []),  # no target (and no mean) at all
+    ])
+    def test_bad_normalization_columns_rejected(self, tmp_path, block, columns):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["normalization"][block]["columns"] = columns
+        if not columns:
+            doc["normalization"][block].update(mean=[], std=[])
+        self._rejects(path, doc, "normalization")

@@ -433,6 +433,30 @@ class TestCachedBackwardPass:
                 _assert_same_bits(gw, ew)
                 _assert_same_bits(gb, eb)
 
+    @pytest.mark.parametrize("layers", [
+        *([(5, name), (4, name), (3, name)] for name in ACTIVATION_NAMES),
+        [(5, "swish"), (4, "softmax"), (4, "relu"), (3, "identity"), (2, "sigmoid")],
+    ], ids=[*ACTIVATION_NAMES, "mixed"])
+    def test_deltas_in_the_caches_own_z_columns_bit_identical(self, layers):
+        # train's deltas: each hidden layer's delta overwrites the training
+        # columns of its own cached Z (a softmax layer keeps a block of its own).
+        rng = np.random.default_rng(16)
+        config = _config(layers, seed=3)
+        state = init_network(config, 3)
+        z0 = rng.normal(scale=2.0, size=(3, 11))
+        targets = rng.normal(size=(layers[-1][0], 8))
+        expected = _backward_pass(state, forward(state, z0), targets, config.loss)
+        cache = forward(state, z0)
+        deltas = regkit.network._delta_blocks(state, cache, 8)
+        for (_, act), z, d in zip(layers, cache.activations, deltas):
+            assert np.shares_memory(z, d) == (act != "softmax")
+        for _ in range(2):  # a second epoch reuses the cache and its delta views
+            forward(state, z0, out=cache)
+            grads = _backward_pass(state, cache, targets, config.loss, deltas=deltas)
+            for (gw, gb), (ew, eb) in zip(grads, expected):
+                _assert_same_bits(gw, ew)
+                _assert_same_bits(gb, eb)
+
     def test_only_elementwise_kinds_cache_a_derivative(self):
         config = _config([(3, "swish"), (3, "relu"), (2, "softmax"), (2, "sigmoid"),
                           (1, "identity")])
@@ -526,6 +550,31 @@ class TestReusedForwardBlocks:
         assert all(g < 0.1 * block for g in growth[1:]), [g / block for g in growth]
 
 
+class TestStageSeams:
+    def test_train_calls_each_stage_by_module_name_once_per_layer(self, monkeypatch):
+        # perfbench's network.backward.s sums these three stages, patched on
+        # regkit.network; a fit must keep calling all of them there.
+        calls = {"output_delta": 0, "hidden_delta": 0, "layer_gradients": 0}
+        for name in calls:
+            real = getattr(regkit.network, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(regkit.network, name, counting)
+        rng = np.random.default_rng(24)
+        k, epochs = 4, 3
+        config = _config([(5, "swish"), (4, "softmax"), (3, "relu"), (1, "identity")],
+                         optimizer="adam", epochs=epochs)
+        state = init_network(config, 2)
+        _, report = train(state, rng.normal(size=(2, 12)), rng.normal(size=(1, 12)),
+                          rng.normal(size=(2, 4)), rng.normal(size=(1, 4)), config)
+        assert report.epochs_run == epochs
+        assert calls == {"output_delta": epochs, "hidden_delta": (k - 1) * epochs,
+                         "layer_gradients": k * epochs}
+
+
 class TestTrainingMemory:
     # Two hidden swish layers of 64 units over 1600 training and 400 validation columns.
     LAYERS = [(64, "swish"), (64, "swish"), (1, "identity")]
@@ -557,6 +606,18 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert report.epochs_run == epochs
         return peak
+
+    def test_one_epoch_peaks_less_than_one_delta_block_above_the_cache(self):
+        # The hidden deltas live in the cache's own Z columns, so a fit needs
+        # the cache plus scratch, not one more (q, p) block per hidden layer.
+        state = init_network(_config(self.LAYERS), 4)
+        cache = forward(state, np.random.default_rng(23).normal(size=(4, 2000)))
+        cache_bytes = sum(b.nbytes for b in cache.activations + cache.derivatives
+                          if b is not None)
+        del cache
+        peak = self._train_peak(1)
+        assert cache_bytes <= peak < cache_bytes + self.DELTA_BYTES, (
+            (peak - cache_bytes) / self.DELTA_BYTES)
 
     def test_later_epochs_add_less_than_one_delta_block(self):
         one, two, six = (self._train_peak(epochs) for epochs in (1, 2, 6))
