@@ -157,43 +157,12 @@ def softmax_columns(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def apply_scalar(kind: ActivationKind, x: float) -> float:
-    """Evaluate an elementwise activation at a single point."""
-    if kind.name == "softmax":
-        raise ValueError("softmax acts on whole columns, not scalars")
-    return float(_apply_elementwise(kind, np.asarray([x], dtype=np.float64))[0])
-
-
-def derivative_scalar(kind: ActivationKind, x: float) -> float:
-    """First derivative of an elementwise activation at a single point."""
-    if kind.name == "softmax":
-        raise ValueError("softmax has a full Jacobian, not a scalar derivative")
-    return float(_derivative_elementwise(kind, np.asarray([x], dtype=np.float64))[0])
-
-
 def apply_matrix(kind: ActivationKind, a) -> np.ndarray:
     """Apply an activation to a matrix; softmax normalizes per column."""
     a = np.asarray(a, dtype=np.float64)
     if kind.name == "softmax":
         return softmax_columns(a)
     return _apply_elementwise(kind, a)
-
-
-def derivative_matrix(kind: ActivationKind, a) -> np.ndarray:
-    """Derivative of ``apply_matrix`` at ``a``.
-
-    Elementwise kinds return a matrix of the same shape.  Softmax returns
-    a ``(cols, n, n)`` stack of per-column Jacobians with
-    ``J[k][i][j] = s_i (delta_ij - s_j)`` for ``s = softmax(column k)``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if kind.name != "softmax":
-        return _derivative_elementwise(kind, a)
-    s = softmax_columns(a).T  # (cols, n)
-    jac = -s[:, :, None] * s[:, None, :]
-    idx = np.arange(a.shape[0])
-    jac[:, idx, idx] += s
-    return jac
 
 
 def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarray:
@@ -222,14 +191,15 @@ def softmax_jacobian_product(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray,
                   e: np.ndarray, sig: np.ndarray) -> None:
-    """Write ``apply_matrix(kind, s)`` into ``z`` and ``derivative_matrix(kind, s)``
-    over ``s``, bit for bit, for an elementwise kind other than identity.
+    """Write ``apply_matrix(kind, s)`` into ``z`` and the derivative
+    ``_derivative_elementwise(kind, s)`` over ``s``, bit for bit, for an
+    elementwise kind other than identity.
 
     ``e`` and ``sig`` are scratch blocks of ``s``'s shape.  Sigmoid and
     swish evaluate one exponential per entry for both.  Their derivative is
     ``(1 - sigmoid) z``, plus ``sigmoid`` for swish: a sigmoid layer's z is
     the sigmoid itself, a swish layer's is ``s sigmoid``.  These are the
-    products and sums ``derivative_matrix`` evaluates, in commuted order.
+    products and sums ``_derivative_elementwise`` evaluates, in commuted order.
     """
     if kind.name == "sigmoid":
         _sigmoid_into(s, z, e)

@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of ``--seed``; argparse names it in its errors."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="regkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -78,7 +86,7 @@ def _build_parser() -> _Parser:
     ann.add_argument("--epsilon", type=float, default=1e-8,
                      help="validation-loss gap that stops training")
     ann.add_argument("--val-fraction", type=float, default=0.2)
-    ann.add_argument("--seed", type=int, default=0)
+    ann.add_argument("--seed", type=non_negative_int, default=0)
     ann.add_argument("--out", required=True, help="model file to write")
     ann.set_defaults(handler=_run_ann_train)
 
@@ -89,7 +97,7 @@ def _build_parser() -> _Parser:
     pred.set_defaults(handler=_run_predict)
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    grad.add_argument("--seed", type=int, default=0)
+    grad.add_argument("--seed", type=non_negative_int, default=0)
     grad.set_defaults(handler=_run_gradcheck)
     return parser
 

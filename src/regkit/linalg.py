@@ -1,11 +1,10 @@
-"""Dense matrix and vector algebra on 64-bit floats.
+"""Dense matrix algebra on 64-bit floats.
 
-Matrices are 2-D ``numpy.ndarray`` values in row-major order; column
-vectors are ``(n, 1)`` matrices.  Every operation is a pure function of
-its inputs and never mutates them.  Determinants and inverses share one
-LU factorization with partial pivoting so that both report singularity
-by the same rule: a pivot smaller than ``SINGULARITY_RTOL`` times the
-largest entry of its row is treated as zero.
+Matrices are 2-D ``numpy.ndarray`` values in row-major order.  Every
+operation is a pure function of its inputs and never mutates them.  The
+inverse uses an LU factorization with partial pivoting and reports
+singularity by one rule: a pivot smaller than ``SINGULARITY_RTOL`` times
+the largest entry of its row is treated as zero.
 """
 
 from __future__ import annotations
@@ -33,67 +32,25 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce to a column vector of shape ``(n, 1)``; 1-D input is reshaped."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    a = as_matrix(a)
-    if a.shape[1] != 1:
-        raise ShapeError(f"expected a column vector, got shape {a.shape}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of ``(n, k)`` by ``(k, m)``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    """Transpose; ``result[j][i] == a[i][j]``."""
-    return as_matrix(a).T.copy()
-
-
-def frobenius_inner(a, b) -> float:
-    """Entrywise inner product of two equally shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frobenius_norm(a) -> float:
     """Norm induced by the entrywise inner product; always >= 0."""
     a = as_matrix(a)
-    return float(np.sqrt(frobenius_inner(a, a)))
-
-
-def outer(u, v) -> np.ndarray:
-    """Rank-one matrix ``result[i][j] = u[i] * v[j]`` from two column vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    return u @ v.T
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def _lu_factor(a: np.ndarray):
     """LU factorization with partial pivoting.
 
-    Returns ``(lu, pivots, sign, singular)`` where ``lu`` stores L (unit
-    diagonal, below) and U (on and above), ``pivots`` is the row
-    permutation applied to ``a``, and ``sign`` the permutation parity.
-    ``singular`` is set when any pivot falls below ``SINGULARITY_RTOL``
-    relative to the largest absolute entry of its (original) row.
+    Returns ``(lu, pivots, singular)`` where ``lu`` stores L (unit
+    diagonal, below) and U (on and above) and ``pivots`` is the row
+    permutation applied to ``a``.  ``singular`` is set when any pivot falls
+    below ``SINGULARITY_RTOL`` relative to the largest absolute entry of its
+    (original) row.
     """
     n = a.shape[0]
     lu = np.array(a, dtype=np.float64)
     scale = np.max(np.abs(lu), axis=1)
     pivots = np.arange(n)
-    sign = 1.0
     singular = False
     for k in range(n):
         r = k + int(np.argmax(np.abs(lu[k:, k])))
@@ -101,7 +58,6 @@ def _lu_factor(a: np.ndarray):
             lu[[k, r]] = lu[[r, k]]
             scale[[k, r]] = scale[[r, k]]
             pivots[[k, r]] = pivots[[r, k]]
-            sign = -sign
         pivot = lu[k, k]
         if scale[k] == 0.0 or abs(pivot) < SINGULARITY_RTOL * scale[k]:
             singular = True
@@ -109,7 +65,7 @@ def _lu_factor(a: np.ndarray):
                 continue
         lu[k + 1:, k] /= pivot
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, pivots, sign, singular
+    return lu, pivots, singular
 
 
 def _lu_solve(lu: np.ndarray, pivots: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,24 +80,12 @@ def _lu_solve(lu: np.ndarray, pivots: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _require_square(a: np.ndarray, what: str) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
-
-
-def determinant(a) -> float:
-    """Determinant via LU with partial pivoting, sign tracked across swaps."""
-    a = as_matrix(a)
-    _require_square(a, "determinant")
-    lu, _, sign, _ = _lu_factor(a)
-    return float(sign * np.prod(np.diagonal(lu)))
-
-
 def inverse(a) -> np.ndarray:
     """Inverse of a square, numerically non-singular matrix."""
     a = as_matrix(a)
-    _require_square(a, "inverse")
-    lu, pivots, _, singular = _lu_factor(a)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"inverse requires a square matrix, got {a.shape}")
+    lu, pivots, singular = _lu_factor(a)
     if singular:
         raise SingularMatrixError(
             f"matrix of shape {a.shape} is singular "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,6 +58,12 @@ def _stats_from_json(obj: dict, what: str) -> NormalizationStats:
         return NormalizationStats(columns, mean, std)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad {what} normalization block: {exc}") from None
+
+
+def _kind_to_json(kind) -> dict:
+    """The fields of an activation, loss, optimizer or initializer kind,
+    leaving out the parameters it does not take (``None``)."""
+    return {k: v for k, v in asdict(kind).items() if v is not None}
 
 
 @contextmanager
@@ -109,41 +115,22 @@ def save_model(
     elif isinstance(model, NetworkState):
         if config is None:
             raise ValueError("saving a network requires its NetworkConfig")
-        layers = []
-        for w, b, act in zip(model.weights, model.biases, model.activations):
-            entry = {
+        layers = [
+            {
                 "units": w.shape[0],
-                "activation": {"name": act.name},
+                "activation": _kind_to_json(act),
                 "weights": w.ravel().tolist(),
                 "biases": b.ravel().tolist(),
             }
-            if act.beta is not None:
-                entry["activation"]["beta"] = act.beta
-            layers.append(entry)
-        loss = {"name": config.loss.name}
-        if config.loss.delta is not None:
-            loss["delta"] = config.loss.delta
-        optimizer = {
-            "name": config.optimizer.name,
-            "gamma": config.optimizer.gamma,
-            "mu": config.optimizer.mu,
-            "rho": config.optimizer.rho,
-            "beta1": config.optimizer.beta1,
-            "beta2": config.optimizer.beta2,
-            "eps": config.optimizer.eps,
-        }
-        initializer = {"name": config.initializer.name}
-        if config.initializer.beta is not None:
-            initializer["beta"] = config.initializer.beta
-        if config.initializer.sigma is not None:
-            initializer["sigma"] = config.initializer.sigma
+            for w, b, act in zip(model.weights, model.biases, model.activations)
+        ]
         doc["model_kind"] = "ann"
         doc["ann"] = {
             "input_dim": model.input_dim,
             "seed": config.seed,
-            "loss": loss,
-            "optimizer": optimizer,
-            "initializer": initializer,
+            "loss": _kind_to_json(config.loss),
+            "optimizer": _kind_to_json(config.optimizer),
+            "initializer": _kind_to_json(config.initializer),
             "layers": layers,
         }
     else:
@@ -167,10 +154,10 @@ def _numbers(values, what: str) -> np.ndarray:
     raise ModelFormatError(f"{what}: values must be finite")
 
 
-def _size(value, what: str) -> int:
-    """A JSON integer >= 1; booleans, floats and strings are errors."""
-    if type(value) is not int or value < 1:
-        raise ModelFormatError(f"{what}: expected an integer >= 1, got {value!r}")
+def _integer(value, what: str, least: int = 1) -> int:
+    """A JSON integer >= ``least``; booleans, floats and strings are errors."""
+    if type(value) is not int or value < least:
+        raise ModelFormatError(f"{what}: expected an integer >= {least}, got {value!r}")
     return value
 
 
@@ -217,21 +204,21 @@ def load_model(path) -> LoadedModel:
         kind = doc["model_kind"]
         if kind == "ols":
             block = doc["ols"]
-            rows, cols = _size(block["rows"], "ols rows"), _size(block["cols"], "ols cols")
+            rows, cols = _integer(block["rows"], "ols rows"), _integer(block["cols"], "ols cols")
             _width(rows, m, "ols rows", f"{m} target columns")
             _width(cols, n + 1, "ols cols", f"{n} feature columns and the intercept")
             b = _reshape(block["coefficients"], rows, cols, "coefficients")
             return LoadedModel("ols", feature_stats, target_stats, ols=OlsModel(b))
         if kind == "ann":
             block = doc["ann"]
-            prev = _size(block["input_dim"], "input_dim")
+            prev = _integer(block["input_dim"], "input_dim")
             _width(prev, n, "input_dim", f"{n} feature columns")
             layers = block["layers"]
             if not isinstance(layers, list) or not layers:
                 raise ModelFormatError(f"{path}: layers must be a non-empty list")
             weights, biases, acts = [], [], []
             for i, layer in enumerate(layers, start=1):
-                units = _size(layer["units"], f"layer {i} units")
+                units = _integer(layer["units"], f"layer {i} units")
                 act = layer["activation"]
                 acts.append(ActivationKind(act["name"], act.get("beta")))
                 weights.append(_reshape(layer["weights"], units, prev, f"layer {i} weights"))
@@ -246,9 +233,8 @@ def load_model(path) -> LoadedModel:
                 [fresh_state(optimizer, w.shape) for w in weights],
                 [fresh_state(optimizer, b.shape) for b in biases],
             )
-            return LoadedModel(
-                "ann", feature_stats, target_stats, network=state, seed=int(block["seed"])
-            )
+            seed = _integer(block["seed"], "seed", least=0)
+            return LoadedModel("ann", feature_stats, target_stats, network=state, seed=seed)
         raise ModelFormatError(f"{path}: unknown model_kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):

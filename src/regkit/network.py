@@ -110,7 +110,7 @@ class ForwardCache:
     """Everything the backward pass needs: the input block, the
     activations Z of every layer and their derivatives.
 
-    ``derivatives`` holds ``derivative_matrix(f, S)`` at the layer's
+    ``derivatives`` holds the entrywise derivative f'(S) at the layer's
     pre-activations S for each elementwise activation f, and ``None`` for
     identity (whose Z is S) and softmax (whose Jacobian product is taken
     from Z).

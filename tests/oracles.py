@@ -44,6 +44,17 @@ def _softmax(s):
     return e / e.sum(axis=0)
 
 
+def softmax_jacobians(s):
+    """The ``(cols, n, n)`` stack of per-column softmax Jacobians of an
+    ``(n, cols)`` matrix: ``J[k][i][j] = p_i (delta_ij - p_j)`` for
+    ``p = softmax(column k)``."""
+    p = _softmax(np.asarray(s, dtype=np.float64)).T  # (cols, n)
+    jac = -p[:, :, None] * p[:, None, :]
+    idx = np.arange(p.shape[1])
+    jac[:, idx, idx] += p
+    return jac
+
+
 _ACTIVATIONS = {
     "identity": lambda s: s,
     "sigmoid": _logistic,

@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import central_diff
+from oracles import central_diff, softmax_jacobians
 from regkit.activations import (
     _BLOCK_BYTES,
     ACTIVATION_NAMES,
     ActivationKind,
+    _apply_elementwise,
+    _derivative_elementwise,
     _sigmoid,
     activate_rows,
     apply_matrix,
-    apply_scalar,
-    derivative_matrix,
-    derivative_scalar,
     jacobian_product,
     parse_activation,
     row_blocks,
@@ -24,6 +23,18 @@ from regkit.activations import (
 
 ELEMENTWISE = [name for name in ACTIVATION_NAMES if name != "softmax"]
 SMOOTH = ("sigmoid", "swish", "identity")
+
+
+def _value(kind, x):
+    """An elementwise activation at one point, through ``apply_matrix``."""
+    return float(apply_matrix(kind, [x])[0])
+
+
+def _slope(kind, x):
+    """An elementwise activation's derivative at one point: its Jacobian
+    product with a unit upstream, which is ``_derivative_elementwise`` bit
+    for bit."""
+    return float(jacobian_product(kind, [x], [1.0])[0])
 
 
 class TestKinds:
@@ -50,61 +61,61 @@ class TestKinds:
 
 class TestScalarValues:
     def test_sigmoid_at_zero(self):
-        assert apply_scalar(ActivationKind("sigmoid"), 0.0) == 0.5
+        assert _value(ActivationKind("sigmoid"), 0.0) == 0.5
 
     def test_sigmoid_is_increasing(self):
         k = ActivationKind("sigmoid")
-        assert apply_scalar(k, 1.0) > apply_scalar(k, -1.0)
+        assert _value(k, 1.0) > _value(k, -1.0)
 
     def test_relu(self):
         k = ActivationKind("relu")
-        assert apply_scalar(k, -3.0) == 0.0
-        assert apply_scalar(k, 2.0) == 2.0
+        assert _value(k, -3.0) == 0.0
+        assert _value(k, 2.0) == 2.0
 
     def test_leaky_relu(self):
-        assert apply_scalar(ActivationKind("leaky_relu", 0.01), -2.0) == pytest.approx(-0.02)
+        assert _value(ActivationKind("leaky_relu", 0.01), -2.0) == pytest.approx(-0.02)
 
     def test_elu_negative_branch(self):
-        assert apply_scalar(ActivationKind("elu", 1.0), -1.0) == pytest.approx(np.expm1(-1.0))
+        assert _value(ActivationKind("elu", 1.0), -1.0) == pytest.approx(np.expm1(-1.0))
 
     def test_swish_at_zero(self):
-        assert apply_scalar(ActivationKind("swish"), 0.0) == 0.0
+        assert _value(ActivationKind("swish"), 0.0) == 0.0
 
     def test_identity(self):
-        assert apply_scalar(ActivationKind("identity"), 1.75) == 1.75
+        assert _value(ActivationKind("identity"), 1.75) == 1.75
 
     def test_softmax_rejected_as_scalar(self):
         with pytest.raises(ValueError):
-            apply_scalar(ActivationKind("softmax"), 1.0)
+            _apply_elementwise(ActivationKind("softmax"), np.ones(1))
         with pytest.raises(ValueError):
-            derivative_scalar(ActivationKind("softmax"), 1.0)
+            _derivative_elementwise(ActivationKind("softmax"), np.ones(1))
 
 
 class TestScalarDerivatives:
     def test_sigmoid_at_zero(self):
-        assert derivative_scalar(ActivationKind("sigmoid"), 0.0) == 0.25
+        assert _slope(ActivationKind("sigmoid"), 0.0) == 0.25
 
     def test_relu_left_value_at_kink(self):
         k = ActivationKind("relu")
-        assert derivative_scalar(k, -1.0) == 0.0
-        assert derivative_scalar(k, 0.0) == 0.0
-        assert derivative_scalar(k, 1.0) == 1.0
+        assert _slope(k, -1.0) == 0.0
+        assert _slope(k, 0.0) == 0.0
+        assert _slope(k, 1.0) == 1.0
 
     def test_leaky_left_value_at_kink(self):
-        assert derivative_scalar(ActivationKind("leaky_relu", 0.05), 0.0) == 0.05
+        assert _slope(ActivationKind("leaky_relu", 0.05), 0.0) == 0.05
 
     def test_elu_unit_beta_is_smooth_at_zero(self):
         k = ActivationKind("elu", 1.0)
-        assert derivative_scalar(k, 0.0) == 1.0
-        assert derivative_scalar(k, 1e-12) == pytest.approx(1.0, abs=1e-9)
-        assert derivative_scalar(k, -1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert _slope(k, 0.0) == 1.0
+        assert _slope(k, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert _slope(k, -1e-12) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", SMOOTH)
     def test_matches_finite_differences_on_grid(self, name):
         kind = ActivationKind(name)
         grid = np.linspace(-5.0, 5.0, 1000)
         worst = max(
-            abs(derivative_scalar(kind, x) - central_diff(lambda t: apply_scalar(kind, t), x))
+            abs(_slope(kind, x) - central_diff(lambda t: _value(kind, t), x))
             for x in grid
         )
         assert worst <= 1e-6
@@ -114,7 +125,7 @@ class TestScalarDerivatives:
         kind = ActivationKind(name)
         grid = np.concatenate([np.linspace(-5, -0.01, 300), np.linspace(0.01, 5, 300)])
         worst = max(
-            abs(derivative_scalar(kind, x) - central_diff(lambda t: apply_scalar(kind, t), x))
+            abs(_slope(kind, x) - central_diff(lambda t: _value(kind, t), x))
             for x in grid
         )
         assert worst <= 1e-6
@@ -133,7 +144,7 @@ class TestMatrixApplication:
             out = apply_matrix(kind, a)
             for i in range(4):
                 for j in range(5):
-                    assert out[i, j] == apply_scalar(kind, a[i, j])
+                    assert out[i, j] == _value(kind, a[i, j])
 
     def test_softmax_uniform_column(self):
         out = apply_matrix(ActivationKind("softmax"), np.array([[0.0], [0.0]]))
@@ -177,23 +188,28 @@ class TestMatrixApplication:
 
 class TestMatrixDerivatives:
     def test_identity_gives_ones(self):
-        out = derivative_matrix(ActivationKind("identity"), np.zeros((2, 3)))
+        out = _derivative_elementwise(ActivationKind("identity"), np.zeros((2, 3)))
         np.testing.assert_array_equal(out, np.ones((2, 3)))
 
     def test_softmax_jacobian_rows_sum_to_zero(self):
+        # The Jacobian is symmetric, so zero row sums make every product sum to zero.
         rng = np.random.default_rng(4)
-        jac = derivative_matrix(ActivationKind("softmax"), rng.normal(size=(5, 8)))
-        assert jac.shape == (8, 5, 5)
-        np.testing.assert_allclose(jac.sum(axis=2), 0.0, atol=1e-12)
+        out = jacobian_product(ActivationKind("softmax"), rng.normal(size=(5, 8)),
+                               rng.normal(size=(5, 8)))
+        assert out.shape == (5, 8)
+        np.testing.assert_allclose(out.sum(axis=0), 0.0, atol=1e-12)
 
     def test_softmax_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-3, 3, (4, 3))
         kind = ActivationKind("softmax")
-        jac = derivative_matrix(kind, a)
         h = 1e-6
-        for col in range(3):
-            for j in range(4):
+        for j in range(4):
+            # J e_j: column j of each column's Jacobian.
+            unit = np.zeros_like(a)
+            unit[j] = 1.0
+            jac_j = jacobian_product(kind, a, unit)
+            for col in range(3):
                 bumped = a.copy()
                 bumped[j, col] += h
                 dipped = a.copy()
@@ -201,7 +217,7 @@ class TestMatrixDerivatives:
                 fd = (
                     apply_matrix(kind, bumped)[:, col] - apply_matrix(kind, dipped)[:, col]
                 ) / (2 * h)
-                np.testing.assert_allclose(jac[col, :, j], fd, atol=1e-6)
+                np.testing.assert_allclose(jac_j[:, col], fd, atol=1e-6)
 
     @pytest.mark.parametrize("name", SMOOTH + ("elu",))
     def test_elementwise_matches_finite_differences(self, name):
@@ -210,7 +226,7 @@ class TestMatrixDerivatives:
         kind = ActivationKind(name)
         h = 1e-6
         fd = (apply_matrix(kind, a + h) - apply_matrix(kind, a - h)) / (2 * h)
-        np.testing.assert_allclose(derivative_matrix(kind, a), fd, atol=1e-6)
+        np.testing.assert_allclose(_derivative_elementwise(kind, a), fd, atol=1e-6)
 
 
 class TestJacobianProduct:
@@ -219,7 +235,7 @@ class TestJacobianProduct:
         pre = rng.normal(size=(3, 5))
         up = rng.normal(size=(3, 5))
         kind = ActivationKind("swish")
-        expected = derivative_matrix(kind, pre) * up
+        expected = _derivative_elementwise(kind, pre) * up
         np.testing.assert_array_equal(jacobian_product(kind, pre, up), expected)
 
     def test_softmax_matches_explicit_jacobian(self):
@@ -227,7 +243,7 @@ class TestJacobianProduct:
         pre = rng.normal(size=(4, 6))
         up = rng.normal(size=(4, 6))
         kind = ActivationKind("softmax")
-        jac = derivative_matrix(kind, pre)
+        jac = softmax_jacobians(pre)
         expected = np.column_stack([jac[i] @ up[:, i] for i in range(6)])
         np.testing.assert_allclose(jacobian_product(kind, pre, up), expected, atol=1e-14)
 
@@ -241,7 +257,7 @@ class TestJacobianProduct:
         pre = rng.normal(scale=3.0, size=(rows, cols))
         up = rng.normal(size=(rows, cols))
         kind = ActivationKind("softmax")
-        expected = np.einsum("kij,jk->ik", derivative_matrix(kind, pre), up)
+        expected = np.einsum("kij,jk->ik", softmax_jacobians(pre), up)
         actual = jacobian_product(kind, pre, up)
         scale = np.abs(expected).max()
         assert np.abs(actual - expected).max() <= 1e-14 * scale
@@ -324,7 +340,7 @@ class TestActivateRows:
         pre = np.random.default_rng(12).normal(scale=4.0, size=(5, 7))
         z, j = _activate(kind, pre)
         _assert_same_bits(z, apply_matrix(kind, pre))
-        _assert_same_bits(j, derivative_matrix(kind, pre))
+        _assert_same_bits(j, _derivative_elementwise(kind, pre))
 
     @pytest.mark.parametrize("name", ELEMENTWISE)
     @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
@@ -333,7 +349,7 @@ class TestActivateRows:
         kind = ActivationKind(name)
         z, j = _activate(kind, x)
         _assert_same_bits(z, apply_matrix(kind, x))
-        _assert_same_bits(j, derivative_matrix(kind, x))
+        _assert_same_bits(j, _derivative_elementwise(kind, x))
 
     @pytest.mark.parametrize("name", ["sigmoid", "swish"])
     def test_bit_identical_to_jacobian_product(self, name):
@@ -411,4 +427,4 @@ class TestBlockedKernels:
         j = later.copy()
         activate_rows(kind, j, z, e, sig)
         _assert_same_bits(z, apply_matrix(kind, later))
-        _assert_same_bits(j, derivative_matrix(kind, later))
+        _assert_same_bits(j, _derivative_elementwise(kind, later))

@@ -8,6 +8,9 @@ fresh interpreter that has imported nothing but ``regkit.cli``, as the
 benchmark's worker does before it installs its wrappers.
 """
 
+import ast
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import regkit
+import regkit.activations
+import regkit.linalg
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,3 +64,36 @@ def test_every_traced_function_is_callable_after_importing_the_cli(seams):
 
 def test_linalg_has_a_public_function_to_count(seams):
     assert seams["linalg_public"]
+
+
+def _names_in(path: Path) -> set[str]:
+    """Every name a module's code uses: plain names, attributes and imports,
+    but not words in its docstrings or comments."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", [regkit.linalg, regkit.activations],
+                         ids=lambda module: module.__name__)
+def test_every_public_function_has_a_caller_outside_the_tests(module):
+    """A public function of these modules is used by another regkit module or
+    traced by perfbench; one that only tests call does not belong in src/."""
+    package = Path(regkit.__file__).resolve().parent
+    own = Path(module.__file__).resolve()
+    used = set().union(*(_names_in(path) for path in package.glob("*.py") if path != own))
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {attr for _, mod, attr, *_ in tracing.SPANS + tracing.COUNTED
+              if mod == module.__name__}
+    public = {name for name, value in vars(module).items()
+              if inspect.isfunction(value) and value.__module__ == module.__name__
+              and not name.startswith("_")}
+    assert sorted(public - used - traced) == []

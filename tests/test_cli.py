@@ -593,6 +593,19 @@ class TestUsage:
         assert cli_main(["--help"]) == 0
         assert "regkit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["ann-train", "gradcheck"])
+    def test_negative_seed_exits_1_with_one_usage_line(self, tmp_path, capsys, command):
+        out = tmp_path / "m.json"
+        args = [command, "--seed", "-5"]
+        if command == "ann-train":
+            args += ["--data", str(_write_sine_csv(tmp_path)), "--features", "x",
+                     "--targets", "y", "--layers", "2:swish,1:identity", "--out", str(out)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("usage") == 1, err
+        assert err.endswith("error: argument --seed: expected an integer >= 0, got -5\n")
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_prints_error_and_exits_0(self, capsys):

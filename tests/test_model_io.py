@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,32 @@ def _ann_fixture():
     state = init_network(config, 3)
     fstats = _stats(("a", "b", "c"), [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
     tstats = _stats(("y",), [5.0], [2.5])
+    return config, state, fstats, tstats
+
+
+def _kinds_fixture():
+    """A network whose activations, loss, initializer and optimizer each carry
+    a parameter, with fixed parameters and normalization blocks."""
+    config = NetworkConfig(
+        layer_specs=(
+            LayerSpec(3, ActivationKind("leaky_relu", 0.2)),
+            LayerSpec(2, ActivationKind("elu", 0.5)),
+            LayerSpec(1, ActivationKind("identity")),
+        ),
+        loss=LossKind("huber", delta=0.75),
+        optimizer=OptimizerKind("rmsprop", gamma=0.003, rho=0.95, eps=1e-7),
+        initializer=InitializerKind("random_normal", sigma=0.3),
+        max_epochs=5,
+        tolerance=1e-6,
+        seed=4,
+    )
+    state = init_network(config, 2)
+    # Fixed values, so the file does not depend on the generator's stream.
+    for i, (w, b) in enumerate(zip(state.weights, state.biases)):
+        w[...] = np.arange(w.size).reshape(w.shape) / (7.0 + i) - 0.5
+        b[...] = -np.arange(b.size).reshape(b.shape) / 3.0
+    fstats = NormalizationStats(("a", "b"), np.array([0.1, -0.2]), np.array([1.5, 2.0]))
+    tstats = NormalizationStats(("y",), np.array([5.0]), np.array([0.25]))
     return config, state, fstats, tstats
 
 
@@ -111,6 +139,16 @@ class TestAnnRoundTrip:
                       sort_keys=True, separators=(",", ":"))
             handle.write("\n")
         assert path.read_bytes() == streamed.read_bytes()
+
+
+    def test_bytes_match_the_pinned_file(self, tmp_path):
+        # data/kinds_model.json was written by an earlier save_model, so the
+        # bytes stay fixed however the kinds are serialized.
+        config, state, fstats, tstats = _kinds_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        pinned = Path(__file__).parent / "data" / "kinds_model.json"
+        assert path.read_bytes() == pinned.read_bytes()
 
 
 class TestStatsTransport:
@@ -250,6 +288,18 @@ class TestModelWidths:
         block = doc["ann"]["layers"][1] if field == "units" else doc.get("ann", doc.get("ols"))
         block[field] = value
         self._rejects(path, doc, "expected an integer >= 1|malformed")
+
+    @pytest.mark.parametrize("value", [-1, 1.9, 2.0, True, "12", None, [1]])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, value):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["ann"]["seed"] = value
+        self._rejects(path, doc, f"seed: expected an integer >= 0, got {re.escape(repr(value))}")
+
+    def test_seed_zero_loads(self, tmp_path):
+        path, doc = self._saved(tmp_path, "ann")
+        doc["ann"]["seed"] = 0
+        path.write_text(json.dumps(doc))
+        assert load_model(path).seed == 0
 
     def test_zero_unit_hidden_layer_with_empty_weights_rejected(self, tmp_path):
         path, doc = self._saved(tmp_path, "ann")
