@@ -45,6 +45,8 @@ class ActivationKind:
             )
         if self.name in _BETA_DEFAULTS:
             beta = _BETA_DEFAULTS[self.name] if self.beta is None else float(self.beta)
+            if not np.isfinite(beta):
+                raise ValueError(f"{self.name} beta must be finite, got {beta!r}")
             if self.name == "leaky_relu" and beta <= 0.0:
                 raise ValueError("leaky_relu slope must be positive")
             object.__setattr__(self, "beta", beta)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -54,6 +55,14 @@ def non_negative_int(text: str) -> int:
     return seed
 
 
+def positive_float(text: str) -> float:
+    """The argparse type of ``--epsilon``: a finite number > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="regkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -63,7 +72,7 @@ def _build_parser() -> _Parser:
     ols.add_argument("--features", required=True, help="comma-separated feature columns")
     ols.add_argument("--targets", required=True, help="comma-separated target columns")
     ols.add_argument("--method", choices=("analytic", "gd"), default="analytic")
-    ols.add_argument("--epsilon", type=float, default=1e-10,
+    ols.add_argument("--epsilon", type=positive_float, default=1e-10,
                      help="iterative stopping tolerance (gd method)")
     ols.add_argument("--max-iters", type=int, default=10000,
                      help="iteration cap (gd method)")
@@ -83,7 +92,7 @@ def _build_parser() -> _Parser:
     ann.add_argument("--optimizer", default="adam")
     ann.add_argument("--init", default="xavier")
     ann.add_argument("--epochs", type=int, default=1000, help="maximum epochs")
-    ann.add_argument("--epsilon", type=float, default=1e-8,
+    ann.add_argument("--epsilon", type=positive_float, default=1e-8,
                      help="validation-loss gap that stops training")
     ann.add_argument("--val-fraction", type=float, default=0.2)
     ann.add_argument("--seed", type=non_negative_int, default=0)

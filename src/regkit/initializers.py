@@ -38,15 +38,15 @@ class InitializerKind:
             )
         if self.name == "random_uniform":
             beta = 0.05 if self.beta is None else float(self.beta)
-            if beta <= 0.0:
-                raise ValueError("random_uniform half-width must be positive")
+            if not 0.0 < beta < np.inf:
+                raise ValueError("random_uniform half-width must be a finite number > 0")
             object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise ValueError(f"initializer {self.name!r} takes no beta")
         if self.name == "random_normal":
             sigma = 0.05 if self.sigma is None else float(self.sigma)
-            if sigma <= 0.0:
-                raise ValueError("random_normal sigma must be positive")
+            if not 0.0 < sigma < np.inf:
+                raise ValueError("random_normal sigma must be a finite number > 0")
             object.__setattr__(self, "sigma", sigma)
         elif self.sigma is not None:
             raise ValueError(f"initializer {self.name!r} takes no sigma")

@@ -33,8 +33,8 @@ class LossKind:
             raise ValueError(f"unknown loss {self.name!r}; expected one of {LOSS_NAMES}")
         if self.name == "huber":
             delta = 1.0 if self.delta is None else float(self.delta)
-            if delta <= 0.0:
-                raise ValueError("huber delta must be positive")
+            if not 0.0 < delta < np.inf:
+                raise ValueError("huber delta must be a finite number > 0")
             object.__setattr__(self, "delta", delta)
         elif self.delta is not None:
             raise ValueError(f"loss {self.name!r} takes no parameter")

@@ -30,7 +30,9 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class LoadedModel:
-    """A model read back from disk, ready for ``predict_rows``."""
+    """A model read back from disk, ready for ``predict_rows``.  Given
+    ``ols``, ``network`` is its one-layer identity network ``W z + b``,
+    whose W and b are views of the columns of B."""
 
     kind: str  # "ols" | "ann"
     feature_stats: NormalizationStats
@@ -38,6 +40,12 @@ class LoadedModel:
     ols: OlsModel | None = None
     network: NetworkState | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.ols is not None:
+            b = self.ols.b
+            network = NetworkState([b[:, :-1]], [b[:, -1:]], (ActivationKind("identity"),))
+            object.__setattr__(self, "network", network)
 
 
 def _stats_to_json(stats: NormalizationStats) -> dict:
@@ -220,6 +228,8 @@ def load_model(path) -> LoadedModel:
             for i, layer in enumerate(layers, start=1):
                 units = _integer(layer["units"], f"layer {i} units")
                 act = layer["activation"]
+                if type(act.get("beta", 0)) not in (int, float):
+                    raise ModelFormatError(f"layer {i} beta: expected a number")
                 acts.append(ActivationKind(act["name"], act.get("beta")))
                 weights.append(_reshape(layer["weights"], units, prev, f"layer {i} weights"))
                 biases.append(_reshape(layer["biases"], units, 1, f"layer {i} biases"))
@@ -236,7 +246,7 @@ def load_model(path) -> LoadedModel:
             seed = _integer(block["seed"], "seed", least=0)
             return LoadedModel("ann", feature_stats, target_stats, network=state, seed=seed)
         raise ModelFormatError(f"{path}: unknown model_kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from None
@@ -246,9 +256,9 @@ def predict_rows(model: LoadedModel, feature_rows) -> np.ndarray:
     """Predictions in original units for raw feature rows (one per row).
 
     Raises ``DivergenceError`` naming the first row (counted from 1) whose
-    prediction overflows the float range or is NaN.  When a network's
-    forward pass meets a non-finite pre-activation, the row named is the
-    first one whose forward pass does.
+    prediction overflows the float range or is NaN.  When the forward
+    pass meets a non-finite pre-activation, the row named is the first
+    one whose forward pass does.
     """
     feature_rows = np.asarray(feature_rows, dtype=np.float64)
     if feature_rows.ndim == 1:
@@ -257,16 +267,11 @@ def predict_rows(model: LoadedModel, feature_rows) -> np.ndarray:
     # reports that, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         normalized, _ = normalize(feature_rows, stats=model.feature_stats)
-        if model.kind == "ols":
-            design = np.hstack([normalized, np.ones((normalized.shape[0], 1))])
-            outputs = (model.ols.b @ design.T).T
-        else:
-            try:
-                outputs = network_predict(model.network, normalized.T).T
-            except DivergenceError:
-                row = _first_failing_row(model.network, normalized)
-                raise DivergenceError(
-                    f"the prediction for data row {row} is not finite") from None
+        try:
+            outputs = network_predict(model.network, normalized.T).T
+        except DivergenceError:
+            row = _first_failing_row(model.network, normalized)
+            raise DivergenceError(f"the prediction for data row {row} is not finite") from None
         predictions = denormalize(outputs, model.target_stats)
     bad = np.flatnonzero(~np.isfinite(predictions).all(axis=1))
     if bad.size:

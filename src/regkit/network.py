@@ -79,8 +79,8 @@ class NetworkConfig:
             raise ValueError("network needs at least one layer")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be a finite number > 0")
 
 
 @dataclass

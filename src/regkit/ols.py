@@ -84,12 +84,12 @@ class GdConfig:
     b0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be a finite number > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gamma0 is not None and self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
+        if self.gamma0 is not None and not 0.0 < self.gamma0 < np.inf:
+            raise ValueError("gamma0 must be a finite number > 0")
         if self.b0 is not None:
             object.__setattr__(self, "b0", linalg.as_matrix(self.b0))
 
@@ -289,12 +289,3 @@ def _require_finite(b: np.ndarray, iteration: int) -> None:
             f"iterate overflowed at iteration {iteration}", iteration=iteration
         )
 
-
-def predict(model: OlsModel, feature) -> np.ndarray:
-    """Evaluate the fitted map at one feature vector; returns an m-vector."""
-    f = np.asarray(feature, dtype=np.float64).ravel()
-    if f.shape[0] != model.b.shape[1] - 1:
-        raise ShapeError(
-            f"feature length {f.shape[0]} != model feature count {model.b.shape[1] - 1}"
-        )
-    return model.b @ np.append(f, 1.0)

@@ -50,8 +50,8 @@ class OptimizerKind:
                 f"unknown optimizer {self.name!r}; expected one of {OPTIMIZER_NAMES}"
             )
         gamma = _GAMMA_DEFAULTS[self.name] if self.gamma is None else float(self.gamma)
-        if gamma <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < gamma < np.inf:
+            raise ValueError("learning rate must be a finite number > 0")
         object.__setattr__(self, "gamma", gamma)
         for label, value in (
             ("mu", self.mu),
@@ -61,8 +61,8 @@ class OptimizerKind:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{label} must lie in [0, 1), got {value!r}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be a finite number > 0")
 
 
 def parse_optimizer(name: str) -> OptimizerKind:

@@ -58,6 +58,12 @@ class TestKinds:
         with pytest.raises(ValueError):
             ActivationKind("leaky_relu", beta=-0.1)
 
+    @pytest.mark.parametrize("name", ["leaky_relu", "prelu", "elu"])
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_beta_must_be_finite(self, name, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            ActivationKind(name, beta=beta)
+
 
 class TestScalarValues:
     def test_sigmoid_at_zero(self):

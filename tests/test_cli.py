@@ -549,6 +549,31 @@ class TestOutputFiles:
         assert not out.exists()
         assert len(recwarn) == 0
 
+    def test_ols_pre_activation_overflow_names_the_row(self, tmp_path, capsys, recwarn):
+        # y is the small difference of two nearly equal features, so the
+        # normalized coefficients are large and of opposite sign.
+        data = tmp_path / "twin.csv"
+        data.write_text("a,b,y\n" + "".join(
+            f"{t},{t + e},{e}\n" for t, e in enumerate([0.01, -0.01, 0.02, 0.0, -0.02, 0.01])),
+            encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "a,b", "--targets", "y",
+                         "--out", str(model_path)]) == 0
+        b = np.array(json.loads(model_path.read_text())["ols"]["coefficients"])
+        assert abs(b[0]) > 10.0 and abs(b[1]) > 10.0
+        query = tmp_path / "query.csv"
+        # Row 2's features normalize to finite values, but W z overflows.
+        query.write_text("a,b\n1,1\n1e307,0\n1e307,0\n", encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = cli_main(["predict", "--model", str(model_path), "--data", str(query),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical error: the prediction for data row 2 is not finite\n"
+        assert not out.exists()
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("command", ["ols-fit", "predict"])
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch, command):
         data = _write_line_csv(tmp_path)
@@ -604,6 +629,20 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and err.count("usage") == 1, err
         assert err.endswith("error: argument --seed: expected an integer >= 0, got -5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", ["ols-fit", "ann-train"])
+    def test_epsilon_must_be_a_finite_positive_number(self, tmp_path, capsys, command, value):
+        out = tmp_path / "m.json"
+        args = [command, "--data", str(_write_sine_csv(tmp_path)), "--features", "x",
+                "--targets", "y", f"--epsilon={value}", "--out", str(out)]
+        args += ["--method", "gd"] if command == "ols-fit" else ["--layers", "2:swish,1:identity"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("usage") == 1, err
+        assert err.endswith(
+            f"error: argument --epsilon: expected a finite number > 0, got {value}\n")
         assert not out.exists()
 
 

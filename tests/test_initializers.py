@@ -28,6 +28,13 @@ class TestKinds:
         with pytest.raises(ValueError):
             InitializerKind("xavier", beta=0.1)
 
+    @pytest.mark.parametrize("name, field", [("random_uniform", "beta"),
+                                             ("random_normal", "sigma")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_parameters_must_be_finite(self, name, field, value):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            InitializerKind(name, **{field: value})
+
 
 class TestWeights:
     def test_shape_is_fanout_by_fanin(self):

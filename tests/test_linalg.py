@@ -45,6 +45,41 @@ class TestInverse:
             residual = a @ linalg.inverse(a) - np.eye(5)
             assert linalg.frobenius_norm(residual) <= 1e-8
 
+    # The rule: with each row scaled by its largest |entry| to give R, the
+    # matrix is singular when ||R||_1 ||R^-1||_1 >= 1 / SINGULARITY_RTOL.
+    # For [[1, 1], [1, 1 + d]] that condition number is about 4 / d.
+    @pytest.mark.parametrize("matrix, singular", [
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], True),
+        ([[1.0, 1.0], [1.0, 1.0 + 3e-12]], True),  # condition number 1.33e12
+        ([[1.0, 1.0], [1.0, 1.0 + 5e-12]], False),  # 8.0e11
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-11]], False),
+        ([[1.0, 2.0], [2.0, 4.0]], True),  # LAPACK meets an exactly zero pivot
+        ([[1.0, 2.0], [0.0, 0.0]], True),  # a zero row
+        (np.diag([1.0, 1e-13]), False),  # singular only without row scaling
+    ], ids=["d=1e-14", "d=3e-12", "d=5e-12", "d=1e-11", "rank-one", "zero-row", "diag"])
+    @pytest.mark.filterwarnings("error")  # each verdict comes without a numpy warning
+    def test_verdict_on_each_side_of_the_threshold(self, matrix, singular):
+        if singular:
+            with pytest.raises(SingularMatrixError, match="is singular"):
+                linalg.inverse(matrix)
+        else:
+            a = np.array(matrix)
+            np.testing.assert_allclose(a @ linalg.inverse(a), np.eye(2), atol=1e-4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_scaling_leaves_the_result_and_verdict_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4))
+        near = a.copy()
+        near[-1] = rng.normal(size=3) @ near[:-1] + 1e-15 * rng.normal(size=4)
+        # Power-of-two scales commute with rounding, so the bits match.
+        d = 2.0 ** rng.integers(-500, 500, size=4)
+        np.testing.assert_array_equal(linalg.inverse(d[:, None] * a), linalg.inverse(a) / d)
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(near)
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(10.0 ** rng.uniform(-100, 100, size=(4, 1)) * near)
+
 
 class TestAsMatrix:
     def test_ragged_rejected(self):

@@ -38,6 +38,11 @@ class TestKinds:
         with pytest.raises(ValueError):
             LossKind("mse", delta=1.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_huber_delta_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            LossKind("huber", delta=delta)
+
 
 class TestValues:
     @pytest.mark.parametrize("name", ZERO_AT_EQUALITY)

@@ -70,18 +70,42 @@ def _kinds_fixture():
 class TestOlsRoundTrip:
     def test_predictions_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        model = OlsModel(rng.normal(size=(2, 4)))
-        fstats = _stats(("a", "b", "c"), rng.normal(size=3), [1.0, 2.0, 0.5])
-        tstats = _stats(("u", "v"), rng.normal(size=2), [3.0, 0.25])
+        n = 40
+        model = OlsModel(rng.normal(size=(2, n + 1)))
+        fstats = _stats([f"x{i}" for i in range(n)], rng.normal(size=n),
+                        rng.uniform(0.5, 2.0, size=n))
+        # Zero means and power-of-two scales: denormalizing is exact, so the
+        # predictions divided by the scales are the network's outputs.
+        tstats = _stats(("u", "v"), [0.0, 0.0], [4.0, 0.25])
         path = tmp_path / "model.json"
         save_model(path, model, fstats, tstats)
         loaded = load_model(path)
         assert loaded.kind == "ols"
         np.testing.assert_array_equal(loaded.ols.b, model.b)
-        rows = rng.normal(size=(5, 3))
-        design = np.hstack([(rows - fstats.mean) / fstats.std, np.ones((5, 1))])
-        expected = (model.b @ design.T).T * tstats.std + tstats.mean
-        np.testing.assert_array_equal(predict_rows(loaded, rows), expected)
+        rows = rng.normal(size=(300, n))
+        predictions = predict_rows(loaded, rows)
+        in_memory = LoadedModel("ols", fstats, tstats, ols=model)
+        np.testing.assert_array_equal(predictions, predict_rows(in_memory, rows))
+        # W z + b against [W b] [z; 1]: both are dot products of length at
+        # most n + 1, so they differ by at most gamma_{n+1} (|W||z| + |b|)
+        # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+        z = (rows - fstats.mean) / fstats.std
+        design = np.hstack([z, np.ones((rows.shape[0], 1))])
+        reference = design @ model.b.T
+        u = np.finfo(np.float64).eps / 2
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        bound = gamma * (np.abs(z) @ np.abs(model.b[:, :-1]).T + np.abs(model.b[:, -1]))
+        assert np.all(np.abs(predictions / tstats.std - reference) <= bound)
+
+    def test_network_is_the_identity_layer_over_views_of_b(self):
+        model = OlsModel(np.arange(8.0).reshape(2, 4))
+        loaded = LoadedModel("ols", _stats("abc", [0, 0, 0], [1, 1, 1]),
+                             _stats("uv", [0, 0], [1, 1]), ols=model)
+        (w,), (b,) = loaded.network.weights, loaded.network.biases
+        assert loaded.network.activations == (ActivationKind("identity"),)
+        np.testing.assert_array_equal(w, model.b[:, :-1])
+        np.testing.assert_array_equal(b, model.b[:, -1:])
+        assert np.shares_memory(w, model.b) and np.shares_memory(b, model.b)
 
 
 class TestAnnRoundTrip:
@@ -258,6 +282,42 @@ class TestDishonestValues:
         doc["ann"]["layers"][1][field][0] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=f"layer 2 {field}: values must be finite"):
+            load_model(path)
+
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "leaky_relu beta must be finite"),
+        (float("inf"), "leaky_relu beta must be finite"),
+        (float("-inf"), "leaky_relu beta must be finite"),
+        (10**400, "int too large"),
+        (True, "layer 2 beta: expected a number"),
+        ("0.3", "layer 2 beta: expected a number"),
+        (None, "layer 2 beta: expected a number"),
+    ], ids=["nan", "inf", "-inf", "int-1e400", "true", "string", "null"])
+    def test_activation_beta_must_be_a_finite_number(self, tmp_path, value, message):
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        doc = json.loads(path.read_text())
+        doc["ann"]["layers"][1]["activation"]["beta"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", float("nan"), "learning rate must be a finite number > 0"),
+        ("gamma", float("inf"), "learning rate must be a finite number > 0"),
+        ("gamma", 10**400, "int too large"),
+        ("eps", float("inf"), "eps must be a finite number > 0"),
+    ], ids=["gamma-nan", "gamma-inf", "gamma-int-1e400", "eps-inf"])
+    def test_optimizer_parameter_must_be_finite(self, tmp_path, field, value, message):
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        doc = json.loads(path.read_text())
+        doc["ann"]["optimizer"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"malformed model file \\({message}"):
             load_model(path)
 
 

@@ -661,6 +661,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             _config([(1, "identity")], tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            _config([(1, "identity")], tolerance=tolerance)
+
     def test_stop_reason_invariants(self):
         rng = np.random.default_rng(12)
         config = _config([(3, "sigmoid"), (1, "identity")], epochs=200, tolerance=1e-9,

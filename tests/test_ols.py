@@ -3,14 +3,18 @@ import pytest
 
 import regkit.ols
 from oracles import gauss_solve, generic_bb_rate
+from regkit.activations import ActivationKind
+from regkit.data import NormalizationStats
 from regkit.errors import DegenerateStepError, ShapeError, SingularMatrixError
+from regkit.losses import LossKind
+from regkit.model_io import LoadedModel, predict_rows
+from regkit.network import NetworkState, _backward_pass, forward
 from regkit.ols import (
     GdConfig,
     OlsProblem,
     bb_learning_rate,
     build_problem,
     default_guesses,
-    predict,
     solve_analytic,
     solve_gd,
 )
@@ -299,6 +303,13 @@ class TestSolveGd:
         with pytest.raises(ValueError):
             GdConfig(1e-8, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon_or_gamma0_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+            GdConfig(value, 10)
+        with pytest.raises(ValueError, match="gamma0 must be a finite number > 0"):
+            GdConfig(1e-8, 10, gamma0=value)
+
 
 def _two_product_reference(problem, epsilon, max_iterations):
     """The BB loop with L Z and B Z as separate products; returns the
@@ -420,15 +431,29 @@ class TestRelativeGradient:
         assert trace.relative_gradient == 0.0
 
 
+def _identity_stats(width, prefix):
+    return NormalizationStats(tuple(f"{prefix}{i}" for i in range(width)),
+                              np.zeros(width), np.ones(width))
+
+
+def _predict(model, feature):
+    """``predict_rows`` on one feature vector, with identity normalization in
+    the vector's width, so the network's own input check sees a mismatch."""
+    feature = np.atleast_1d(np.asarray(feature, dtype=np.float64))
+    loaded = LoadedModel("ols", _identity_stats(feature.shape[0], "x"),
+                         _identity_stats(model.b.shape[0], "y"), ols=model)
+    return predict_rows(loaded, feature)[0]
+
+
 class TestPredict:
     def test_line_at_zero(self):
         model = solve_analytic(build_problem([[0.0], [1.0]], [[1.0], [3.0]]))
-        np.testing.assert_allclose(predict(model, [0.0]), [1.0])
+        np.testing.assert_allclose(_predict(model, [0.0]), [1.0])
 
     def test_zero_model(self):
         problem = build_problem([[1.0], [2.0]], [[0.0], [0.0]])
         model = solve_analytic(problem)
-        np.testing.assert_allclose(predict(model, [123.0]), [0.0], atol=1e-12)
+        np.testing.assert_allclose(_predict(model, [123.0]), [0.0], atol=1e-12)
 
     def test_reproduces_training_targets_on_exact_data(self):
         rng = np.random.default_rng(13)
@@ -437,10 +462,58 @@ class TestPredict:
         features = problem.x_design[:, :-1]
         for i in range(problem.p):
             np.testing.assert_allclose(
-                predict(model, features[i]), problem.y_targets[:, i], atol=1e-8
+                _predict(model, features[i]), problem.y_targets[:, i], atol=1e-8
             )
 
     def test_dimension_mismatch_rejected(self):
         model = solve_analytic(build_problem([[0.0], [1.0]], [[1.0], [3.0]]))
         with pytest.raises(ShapeError):
-            predict(model, [1.0, 2.0])
+            _predict(model, [1.0, 2.0])
+
+
+def _backprop_gradient(problem, b):
+    """``[grad W | grad b]`` of the mse loss of the one-layer identity
+    network ``W z + b`` with ``[W b] = B``, from ``_backward_pass``."""
+    state = NetworkState([b[:, :-1]], [b[:, -1:]], (ActivationKind("identity"),))
+    cache = forward(state, problem.x_design[:, :-1].T)
+    (grad_w, grad_b), = _backward_pass(state, cache, problem.y_targets, LossKind("mse"))
+    return np.hstack([grad_w, grad_b])
+
+
+class TestOlsAsOneLayerNetwork:
+    """OLS is the one-layer identity network under the mse loss
+    ``||B X^T - Y||^2 / (m p)``, whose gradient is ``2 (B Z - K) / (m p)``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_backprop_gives_the_normal_equation_gradient(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        problem, _ = _random_problem(rng, m=3, n=5, p=60, noise=0.5)
+        b = rng.normal(size=(problem.m, problem.n + 1))
+        x, y = problem.x_design, problem.y_targets
+        expected = 2.0 * (b @ (x.T @ x) - y @ x) / (problem.m * problem.p)
+        error = np.linalg.norm(_backprop_gradient(problem, b) - expected)
+        assert error <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kappa", [1e1, 1e3, 1e5])
+    def test_analytic_solution_is_a_stationary_point(self, kappa):
+        # The residual B Z - K of the normal-equation solve is of order
+        # cond(X)^2 u ||K||, as is its forward error (Higham, ch. 20).
+        c, u = 10.0, np.finfo(np.float64).eps
+        rng = np.random.default_rng(30 + int(np.log10(kappa)))
+        for _ in range(5):
+            features = _conditioned_features(rng, 40, 6, kappa)
+            design = np.hstack([features, np.ones((40, 1))])
+            targets = design @ rng.normal(size=(7, 2)) + 0.1 * rng.normal(size=(40, 2))
+            problem = build_problem(features, targets)
+            residual = _backprop_gradient(problem, solve_analytic(problem).b) * (
+                problem.m * problem.p / 2.0)
+            k_norm = np.linalg.norm(problem.y_targets @ problem.x_design)
+            assert np.linalg.norm(residual) <= c * np.linalg.cond(design) ** 2 * u * k_norm
+
+    def test_gd_relative_gradient_is_the_rescaled_backprop_gradient(self):
+        problem = _three_target_problem(23)
+        model, trace = solve_gd(problem, GdConfig(1e-300, 50))
+        k_norm = np.linalg.norm(problem.y_targets @ problem.x_design)
+        gradient = _backprop_gradient(problem, model.b) * (problem.m * problem.p / 2.0)
+        assert np.linalg.norm(gradient) / k_norm == pytest.approx(
+            trace.relative_gradient, rel=1e-10)

@@ -40,6 +40,12 @@ class TestKinds:
         with pytest.raises(ValueError):
             OptimizerKind("adam", eps=0.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_hyperparameters_must_be_finite(self, field, value):
+        with pytest.raises(ValueError):
+            OptimizerKind("adam", **{field: value})
+
 
 class TestSteps:
     def test_gd_hand_computed(self):
