@@ -63,6 +63,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def open_fraction(text: str) -> float:
+    """The argparse type of ``--val-fraction``: a finite number strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number strictly between 0 and 1, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="regkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -94,7 +102,7 @@ def _build_parser() -> _Parser:
     ann.add_argument("--epochs", type=int, default=1000, help="maximum epochs")
     ann.add_argument("--epsilon", type=positive_float, default=1e-8,
                      help="validation-loss gap that stops training")
-    ann.add_argument("--val-fraction", type=float, default=0.2)
+    ann.add_argument("--val-fraction", type=open_fraction, default=0.2)
     ann.add_argument("--seed", type=non_negative_int, default=0)
     ann.add_argument("--out", required=True, help="model file to write")
     ann.set_defaults(handler=_run_ann_train)

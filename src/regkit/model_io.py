@@ -228,6 +228,8 @@ def load_model(path) -> LoadedModel:
             for i, layer in enumerate(layers, start=1):
                 units = _integer(layer["units"], f"layer {i} units")
                 act = layer["activation"]
+                if not isinstance(act, dict):
+                    raise ModelFormatError(f"layer {i} activation: expected a JSON object")
                 if type(act.get("beta", 0)) not in (int, float):
                     raise ModelFormatError(f"layer {i} beta: expected a number")
                 acts.append(ActivationKind(act["name"], act.get("beta")))
@@ -235,7 +237,13 @@ def load_model(path) -> LoadedModel:
                 biases.append(_reshape(layer["biases"], units, 1, f"layer {i} biases"))
                 prev = units
             _width(prev, m, f"layer {len(layers)} units", f"{m} target columns")
-            optimizer = OptimizerKind(**block["optimizer"])
+            fields = block["optimizer"]
+            if not isinstance(fields, dict):
+                raise ModelFormatError("optimizer: expected a JSON object")
+            for key, value in fields.items():
+                if key != "name" and type(value) not in (int, float):
+                    raise ModelFormatError(f"optimizer {key}: expected a number")
+            optimizer = OptimizerKind(**fields)
             state = NetworkState(
                 weights,
                 biases,

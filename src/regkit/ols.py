@@ -13,6 +13,7 @@ training samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -173,34 +174,31 @@ def bb_learning_rate(l_step, z, *, lz=None) -> float:
 
     ``l_step`` is the difference of successive coefficient iterates and
     ``z`` the normal matrix.  ``lz``, when given, is the product ``L Z``
-    the caller already formed (``solve_gd`` gets it from the same matrix
-    product as ``B Z``); it must have the shape of ``l_step`` and is used
-    as is, so the rate costs no product.  Raises DegenerateStepError when
-    ``L Z`` is zero, i.e. the iterate did not move, and ValueError when the
-    rate is not finite, e.g. for non-finite input.
+    the caller already formed, of the shape of ``l_step``, so the rate
+    costs no product; the pair may be given in any orthonormal basis, as
+    ``solve_gd`` does.  Raises DegenerateStepError when ``L Z`` is zero,
+    i.e. the iterate did not move, and ValueError when the rate is not
+    finite, e.g. for non-finite input.
     """
     l_step = np.asarray(l_step, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if l_step.ndim != 2 or l_step.size == 0 or z.shape != (l_step.shape[1],) * 2:
         raise ShapeError(f"cannot form the rate of a {l_step.shape} step and a {z.shape} matrix")
-    if lz is None:
-        lz = l_step @ z
-    else:
-        lz = np.asarray(lz, dtype=np.float64)
-        if lz.shape != l_step.shape:
-            raise ShapeError(f"L Z of shape {lz.shape} does not match the {l_step.shape} step")
-    denom = _frobenius_norm(lz)
-    if denom == 0.0:
+    lz = l_step @ z if lz is None else np.asarray(lz, dtype=np.float64)
+    if lz.shape != l_step.shape:
+        raise ShapeError(f"L Z of shape {lz.shape} does not match the {l_step.shape} step")
+    lz_squared = np.vdot(lz, lz)
+    if lz_squared == 0.0:
         raise DegenerateStepError("rate undefined: ||L Z|| = 0 (iterate did not move)")
-    rate = abs(float(np.sum(l_step * lz))) / (2.0 * denom * denom)
-    if not np.isfinite(rate):
-        raise ValueError(f"rate is not finite ({rate}); ||L Z|| = {denom:g}")
+    rate = float(abs(np.vdot(l_step, lz)) / (2.0 * lz_squared))
+    if not math.isfinite(rate):
+        raise ValueError(f"rate is not finite ({rate}); ||L Z||^2 = {lz_squared:g}")
     return rate
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
-    # The expression linalg.frobenius_norm evaluates, without its input checks.
-    return float(np.sqrt(np.sum(a * a)))
+    # linalg.frobenius_norm without its input checks, as one BLAS dot.
+    return math.sqrt(np.vdot(a, a))
 
 
 def default_guesses(problem: OlsProblem) -> tuple[np.ndarray, float]:
@@ -227,10 +225,15 @@ def solve_gd(
     ``L = B_t - B_{t-1}``, until the step norm drops below
     ``config.epsilon`` or ``config.max_iterations`` updates were made.
     ``L`` and ``B`` are kept as the two row halves of one block, so each
-    step makes one matrix product, whose halves are ``L Z`` (passed to
-    ``bb_learning_rate`` as ``lz``) and ``B Z``.  ``callback``, when
-    given, receives every iterate starting with B0, none of them in a
-    buffer the loop writes to again.
+    step makes one product with Z, whose halves are ``L Z`` (passed to
+    ``bb_learning_rate`` as ``lz``) and ``B Z``.  A fit that reaches
+    iteration ``_eigenbasis_start(n + 1)`` then takes one ``eigh``,
+    ``Z = V Λ V^T``, and goes on in that eigenbasis, on ``C = B V`` and
+    ``M = L V``: the rate, the step norm and the update are those of B and
+    L, and each step's product is elementwise with Λ (Fletcher 2005).
+    ``callback``, when given, receives every iterate starting with B0, in
+    the original basis and none of them in a buffer the loop writes to
+    again.
     """
     x, y = problem.x_design, problem.y_targets
     z = x.T @ x
@@ -252,35 +255,50 @@ def solve_gd(
     _require_finite(b, 1)
     if callback is not None:
         callback(b)
-    # L on top of B: the product's top half is L Z and its bottom half B Z.
+    # L on top of B: one product with Z gives L Z (top half) and B Z.  From
+    # iteration `start` on, the block and K are in the eigenbasis of Z, and
+    # the product is the elementwise one with the eigenvalues.
     m = k.shape[0]
-    lb = np.concatenate([b - b_prev, b])
-    prod = np.empty_like(lb)
-    l_step, b_rows, lz, bz = lb[:m], lb[m:], prod[:m], prod[m:]
+    lb, kv, v = np.concatenate([b - b_prev, b]), k, None
+    start = _eigenbasis_start(z.shape[0])
     iterations = 1
 
-    while _frobenius_norm(l_step) > config.epsilon and iterations < config.max_iterations:
-        np.matmul(lb, z, out=prod)
+    while _frobenius_norm(lb[:m]) > config.epsilon and iterations < config.max_iterations:
+        if v is None and iterations >= start:
+            lam, v = np.linalg.eigh(z)
+            lb, kv = lb @ v, k @ v
+        prod = lb @ z if v is None else lb * lam
         try:
-            gamma = bb_learning_rate(l_step, z, lz=lz)
+            gamma = bb_learning_rate(lb[:m], z, lz=prod[:m])
         except DegenerateStepError:
             # A zero step is a fixed point of the update: stop as converged.
-            l_step[...] = 0.0
+            lb[:m] = 0.0
             break
-        b = b_rows - 2.0 * gamma * (bz - k)
-        _require_finite(b, iterations + 1)
+        c = lb[m:] - 2.0 * gamma * (prod[m:] - kv)
+        _require_finite(c, iterations + 1)
         if callback is not None:
-            callback(b)
-        np.subtract(b, b_rows, out=l_step)
-        b_rows[...] = b
+            callback(c if v is None else c @ v.T)
+        np.subtract(c, lb[m:], out=lb[:m])
+        lb[m:] = c
         iterations += 1
 
-    final_norm = _frobenius_norm(l_step)
+    b = lb[m:] if v is None else lb[m:] @ v.T
+    _require_finite(b, iterations)
+    final_norm = _frobenius_norm(lb[:m])
     gradient_norm = _frobenius_norm(b @ z - k)
     k_norm = _frobenius_norm(k)
     trace = GdTrace(iterations, final_norm, final_norm < config.epsilon,
                     gradient_norm / k_norm if k_norm > 0.0 else gradient_norm)
     return OlsModel(b), trace
+
+
+def _eigenbasis_start(size: int) -> int:
+    # The iteration at which solve_gd changes to the eigenbasis of the
+    # size x size matrix Z.  One eigh of Z costs as much time as about 115
+    # to 650 steps that multiply by Z for size 100 to 400, and 177 to 373
+    # for size 600 to 1000 (1 to 8 targets, 2 cores, OpenBLAS); a fit that
+    # stops before this never pays for it.
+    return 100 + size // 5
 
 
 def _require_finite(b: np.ndarray, iteration: int) -> None:

@@ -361,6 +361,19 @@ class TestPredictCommand:
                          "--out", str(tmp_path / "p.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0.3", True], ids=["string", "true"])
+    def test_optimizer_gamma_that_is_not_a_number_exits_2(self, tmp_path, capsys, value):
+        doc = json.loads(_tiny_model_files()["ann"])
+        doc["ann"]["optimizer"]["gamma"] = value
+        model_path, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        data.write_text(_MUTATION_DATA, encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        assert cli_main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: optimizer gamma: expected a number\n"
+        assert not out.exists()
+
 
 _MUTATION_DATA = "a,b,c,y,z\n0.5,-1,2,0,0\n-0.25,3,1,0,0\n1.5,0,-2,0,0\n"
 
@@ -643,6 +656,19 @@ class TestUsage:
         assert err.startswith("usage: ") and err.count("usage") == 1, err
         assert err.endswith(
             f"error: argument --epsilon: expected a finite number > 0, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1.5"])
+    def test_val_fraction_must_be_strictly_between_0_and_1(self, tmp_path, capsys, value):
+        out = tmp_path / "m.json"
+        args = ["ann-train", "--data", str(_write_sine_csv(tmp_path)), "--features", "x",
+                "--targets", "y", "--layers", "2:swish,1:identity",
+                f"--val-fraction={value}", "--out", str(out)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("usage") == 1, err
+        assert err.endswith("error: argument --val-fraction: expected a number strictly "
+                            f"between 0 and 1, got {value}\n")
         assert not out.exists()
 
 

@@ -320,6 +320,33 @@ class TestDishonestValues:
         with pytest.raises(ModelFormatError, match=f"malformed model file \\({message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("field", ["gamma", "mu", "rho", "beta1", "beta2", "eps"])
+    @pytest.mark.parametrize("value", ["0.3", True, None, [0.3]],
+                             ids=["string", "true", "null", "list"])
+    def test_optimizer_parameter_must_be_a_json_number(self, tmp_path, field, value):
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        doc = json.loads(path.read_text())
+        doc["ann"]["optimizer"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"optimizer {field}: expected a number"):
+            load_model(path)
+
+    @pytest.mark.parametrize("block", ["activation", "optimizer"])
+    def test_block_that_is_not_an_object_rejected(self, tmp_path, block):
+        config, state, fstats, tstats = _ann_fixture()
+        path = tmp_path / "model.json"
+        save_model(path, state, fstats, tstats, config=config)
+        doc = json.loads(path.read_text())
+        if block == "activation":
+            doc["ann"]["layers"][0]["activation"] = 5
+        else:
+            doc["ann"]["optimizer"] = ["adam"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"{block}: expected a JSON object"):
+            load_model(path)
+
 
 class TestModelWidths:
     """Widths must be JSON integers >= 1 that match the normalization blocks."""
