@@ -79,31 +79,23 @@ def row_blocks(x: np.ndarray, scratch: int = 0):
         yield (slice(i, i + n), *buf[:, :n])
 
 
-def _sigmoid_into(x: np.ndarray, sig: np.ndarray, e: np.ndarray) -> None:
-    """Write ``sigmoid(x)`` into ``sig``, which may be ``x`` itself, with
-    ``e`` as scratch."""
-    # maximum([x >= 0], e) / (1 + e) with e = exp(-|x|): the numerator is 1
-    # for x >= 0 (e <= 1) and e = exp(x) below, so each entry is the division
-    # the sign branches make (1/(1+e) and e/(1+e)), with one exponential,
-    # no mask and no select.  The exponent is never positive, so none overflows.
-    # -|x| as abs then negative: the bits of copysign(x, -1) in about half its time.
-    np.abs(x, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=sig)
-    np.maximum(sig, e, out=sig)
-    e += 1.0
-    np.divide(sig, e, out=sig)
+def _denominator(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``1 + exp(-x)`` into ``out``, which may be ``x`` itself, and
+    return it: the sigmoid is ``1 / out`` and swish ``x / out``.
+
+    For x below -709.78 the exponential overflows to inf, so the sigmoid is
+    0 and swish -0, though down to x = -745 the true sigmoid is a subnormal.
+    """
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # The result is C-ordered whatever x's layout, so the exponentials
-    # always run over contiguous blocks.
-    out = np.empty(x.shape)
-    x1, out1 = np.atleast_1d(x, out)
-    for rows, e in row_blocks(x1, 1):
-        _sigmoid_into(x1[rows], out1[rows], e)
-    return out
+    d = _denominator(x, np.empty(x.shape))
+    return np.divide(1.0, d, out=d)
 
 
 def _apply_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
@@ -120,7 +112,8 @@ def _apply_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
         out[neg] = beta * np.expm1(x[neg])
         return out
     if name == "swish":
-        return x * _sigmoid(x)
+        d = _denominator(x, np.empty(x.shape))
+        return np.divide(x, d, out=d)
     if name == "identity":
         return np.array(x, dtype=np.float64)
     raise ValueError(f"{name} has no elementwise form")
@@ -142,8 +135,8 @@ def _derivative_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
         out[neg] = beta * np.exp(x[neg])
         return out
     if name == "swish":
-        s = _sigmoid(x)
-        return s + x * s * (1.0 - s)
+        d = _denominator(x, np.empty(x.shape))
+        return (x - x / d + 1.0) / d
     if name == "identity":
         return np.ones_like(x)
     raise ValueError(f"{name} has no elementwise derivative")
@@ -191,44 +184,40 @@ def softmax_jacobian_product(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
 
 
-def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray,
-                  e: np.ndarray, sig: np.ndarray) -> None:
+def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
     """Write ``apply_matrix(kind, s)`` into ``z`` and the derivative
     ``_derivative_elementwise(kind, s)`` over ``s``, bit for bit, for an
     elementwise kind other than identity.
 
-    ``e`` and ``sig`` are scratch blocks of ``s``'s shape.  Sigmoid and
-    swish evaluate one exponential per entry for both.  Their derivative is
-    ``(1 - sigmoid) z``, plus ``sigmoid`` for swish: a sigmoid layer's z is
-    the sigmoid itself, a swish layer's is ``s sigmoid``.  These are the
-    products and sums ``_derivative_elementwise`` evaluates, in commuted order.
+    ``e`` is a scratch block of ``s``'s shape.  Sigmoid and swish evaluate
+    one exponential per entry for both: with ``d = 1 + exp(-s)``, a sigmoid
+    layer's z is ``1 / d`` and its derivative ``(1 - z) z``; a swish layer's
+    z is ``s / d`` and its derivative ``sigmoid (1 + s - z)``, taken as
+    ``(s - z + 1) / d``.
     """
     if kind.name == "sigmoid":
-        _sigmoid_into(s, z, e)
+        np.divide(1.0, _denominator(s, e), out=z)
         np.subtract(1.0, z, out=s)
         s *= z
     elif kind.name == "swish":
-        _sigmoid_into(s, sig, e)
-        np.multiply(s, sig, out=z)
-        np.subtract(1.0, sig, out=s)
-        s *= z
-        s += sig
+        np.divide(s, _denominator(s, e), out=z)
+        s -= z
+        s += 1.0
+        s /= e
     else:
         z[...] = _apply_elementwise(kind, s)
         s[...] = _derivative_elementwise(kind, s)
 
 
-def apply_rows(kind: ActivationKind, s: np.ndarray, e: np.ndarray, sig: np.ndarray) -> None:
+def apply_rows(kind: ActivationKind, s: np.ndarray, e: np.ndarray) -> None:
     """Write ``apply_matrix(kind, s)`` over ``s``, bit for bit, for an
     elementwise kind other than identity.
 
-    ``e`` and ``sig`` are scratch blocks of ``s``'s shape; only sigmoid and
-    swish use them.
+    ``e`` is a scratch block of ``s``'s shape; only sigmoid and swish use it.
     """
     if kind.name == "sigmoid":
-        _sigmoid_into(s, s, e)
+        np.divide(1.0, _denominator(s, e), out=s)
     elif kind.name == "swish":
-        _sigmoid_into(s, sig, e)
-        s *= sig
+        s /= _denominator(s, e)
     else:
         s[...] = _apply_elementwise(kind, s)

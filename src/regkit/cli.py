@@ -19,7 +19,7 @@ import os
 import sys
 
 from .activations import parse_activation
-from .data import ColumnSchema, load_csv, normalize, read_columns, split
+from .data import ColumnSchema, NormalizationStats, load_csv, normalize, read_columns, split
 from .errors import (
     DataError,
     DegenerateStepError,
@@ -200,7 +200,6 @@ def _run_ann_train(args) -> int:
     schema = _schema(args)
     features, targets = load_csv(args.data, schema)
     features, fstats = normalize(features, columns=schema.feature_columns)
-    targets, tstats = normalize(targets, columns=schema.target_columns)
     layer_specs = _parse_layers(args.layers)
     if layer_specs[-1].units != len(schema.target_columns):
         raise UsageError(
@@ -219,6 +218,13 @@ def _run_ann_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if config.loss.name in ("msle", "poisson"):
+        # Z-scores would push the targets out of these losses' domains (> -1
+        # and > 0).  With unit stats, predict's denormalization is the identity.
+        m = len(schema.target_columns)
+        tstats = NormalizationStats(schema.target_columns, [0.0] * m, [1.0] * m)
+    else:
+        targets, tstats = normalize(targets, columns=schema.target_columns)
     (train_f, train_t), (val_f, val_t) = split(features, targets, args.val_fraction, args.seed)
     state = init_network(config, features.shape[1])
     state, report = train(state, train_f.T, train_t.T, val_f.T, val_t.T, config)

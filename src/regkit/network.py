@@ -192,7 +192,7 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
         z = out.activations[i] if keep else s
         if z is None:
             z = np.empty(s.shape)
-        for rows, block, scratch in _biased_blocks(i + 1, s, b, 2 if keep else 0):
+        for rows, block, scratch in _biased_blocks(i + 1, s, b, 1 if keep else 0):
             if keep:
                 activate_rows(act, block, z[rows], *scratch)
         scratch = None  # else it holds this layer's scratch while the next layer's is made
@@ -213,7 +213,7 @@ def predict(state: NetworkState, features) -> np.ndarray:
     for l, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations), 1):
         z = w @ z
         elementwise = act.name not in ("identity", "softmax")
-        for _, block, scratch in _biased_blocks(l, z, b, 2 if elementwise else 0):
+        for _, block, scratch in _biased_blocks(l, z, b, 1 if elementwise else 0):
             if elementwise:
                 apply_rows(act, block, *scratch)
         scratch = None

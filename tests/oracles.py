@@ -4,7 +4,8 @@ Nothing here calls regkit: linear systems are solved by straightforward
 Gaussian elimination, derivatives by central finite differences, and
 network gradients by perturbing one parameter at a time and re-running a
 forward pass and loss written here.  A network is read only through its
-weights, biases and activation names.
+weights, biases and activation kinds (name and beta), a loss through its
+name and huber's delta.
 """
 
 from fractions import Fraction
@@ -55,17 +56,38 @@ def softmax_jacobians(s):
     return jac
 
 
+def _negative_slope(s, beta):
+    return np.where(s > 0, s, beta * s)
+
+
+# Each takes the pre-activations and the kind's beta (None for kinds without one).
 _ACTIVATIONS = {
-    "identity": lambda s: s,
-    "sigmoid": _logistic,
-    "swish": lambda s: s * _logistic(s),
-    "softmax": _softmax,
+    "identity": lambda s, beta: s,
+    "sigmoid": lambda s, beta: _logistic(s),
+    "swish": lambda s, beta: s * _logistic(s),
+    "softmax": lambda s, beta: _softmax(s),
+    "relu": lambda s, beta: np.where(s > 0, s, 0.0),
+    "leaky_relu": _negative_slope,
+    "prelu": _negative_slope,
+    "elu": lambda s, beta: np.where(s > 0, s, beta * (np.exp(np.minimum(s, 0.0)) - 1.0)),
 }
 
-# Mean over the m outputs of each column.
+
+def _huber(r, delta):
+    a = np.abs(r)
+    return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+
+
+# The loss of each column of predictions x against targets y: the mean over
+# the m outputs, except huber, which sums them.  poisson takes the log of the
+# target, not of the prediction.
 _LOSSES = {
-    "mse": lambda r: np.mean(r * r, axis=0),
-    "log_cosh": lambda r: np.mean(np.log(np.cosh(r)), axis=0),
+    "mse": lambda x, y, kind: np.mean((x - y) ** 2, axis=0),
+    "mae": lambda x, y, kind: np.mean(np.abs(x - y), axis=0),
+    "huber": lambda x, y, kind: np.sum(_huber(x - y, kind.delta), axis=0),
+    "log_cosh": lambda x, y, kind: np.mean(np.log(np.cosh(x - y)), axis=0),
+    "msle": lambda x, y, kind: np.mean((np.log(1.0 + x) - np.log(1.0 + y)) ** 2, axis=0),
+    "poisson": lambda x, y, kind: np.mean(x - x * np.log(y), axis=0),
 }
 
 
@@ -73,14 +95,15 @@ def network_outputs(state, features):
     """The network's outputs for feature columns, one sample per column."""
     z = np.asarray(features, dtype=np.float64)
     for w, b, kind in zip(state.weights, state.biases, state.activations):
-        z = _ACTIVATIONS[kind.name](w @ z + b)
+        z = _ACTIVATIONS[kind.name](w @ z + b, kind.beta)
     return z
 
 
 def batch_loss(state, loss_kind, features, targets):
     """Mean per-sample loss of the network over the given columns."""
-    residual = network_outputs(state, features) - np.asarray(targets, dtype=np.float64)
-    return float(np.mean(_LOSSES[loss_kind.name](residual)))
+    outputs = network_outputs(state, features)
+    targets = np.asarray(targets, dtype=np.float64)
+    return float(np.mean(_LOSSES[loss_kind.name](outputs, targets, loss_kind)))
 
 
 def numeric_network_gradients(state, loss_kind, features, targets, h=1e-5):

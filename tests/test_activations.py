@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from regkit.activations import (
     _sigmoid,
     activate_rows,
     apply_matrix,
+    apply_rows,
     jacobian_product,
     parse_activation,
     row_blocks,
@@ -283,7 +285,8 @@ class TestJacobianProduct:
 
 
 def _sigmoid_masked(x):
-    # The masked form the branch-free _sigmoid replaced, kept verbatim as its reference.
+    # The masked form that preceded the four-pass _sigmoid, kept verbatim as a
+    # second form that must meet the same accuracy contract.
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -299,6 +302,63 @@ def _assert_same_bits(actual, expected):
     np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
+# The accuracy contract of the sigmoid and swish kernels, against a reference
+# evaluated in extended precision (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 1-3).  With EPS = 2^-52:
+# * the value (sigmoid, or swish's z = x sigmoid(x)) has relative error at
+#   most 3 EPS where the true value is at least TINY in magnitude, and
+#   absolute error at most 2.3e-308 below that;
+# * the derivative J has absolute error at most 3 EPS (1 + |x|);
+# * +-0 gives exact values, the sign of swish's -0 kept, and NaN gives NaN.
+# In BAND, where exp(-x) overflows, swish's z is -0 though its true value
+# reaches 4e-306: the band is exempt from the value bound and pinned by
+# TestOverflowBand.
+EPS = 2.0**-52
+TINY = np.finfo(np.float64).tiny
+BAND = (-745.0, -709.78)
+
+
+def _reference(name, x):
+    """The value and derivative of ``name`` at finite ``x`` in ``np.longdouble``."""
+    assert np.finfo(np.longdouble).nmant >= 63, "the reference needs extended precision"
+    xl = np.asarray(x, dtype=np.longdouble)
+    with np.errstate(over="ignore"):
+        s, rest = 1 / (1 + np.exp(-xl)), 1 / (1 + np.exp(xl))  # sigmoid and 1 - sigmoid
+    if name == "sigmoid":
+        return s, s * rest
+    return xl * s, s + xl * s * rest
+
+
+def _assert_within_contract(name, x, value, derivative=None):
+    """``value`` (and ``derivative``) of ``name`` at ``x`` against the contract."""
+    x = np.asarray(x, dtype=np.float64)
+    nan = np.isnan(x)
+    np.testing.assert_array_equal(np.isnan(value), nan)
+    if derivative is not None:
+        np.testing.assert_array_equal(np.isnan(derivative), nan)
+    finite = np.isfinite(x)
+    if name == "sigmoid":  # swish is never evaluated at +-inf (an invalid inf * 0)
+        np.testing.assert_array_equal(value[x == np.inf], 1.0)
+        np.testing.assert_array_equal(value[x == -np.inf], 0.0)
+    else:
+        assert finite[~nan].all()
+    zero = x == 0.0
+    np.testing.assert_array_equal(value[zero], 0.5 if name == "sigmoid" else 0.0)
+    if name == "swish":
+        np.testing.assert_array_equal(np.signbit(value[zero]), np.signbit(x[zero]))
+    x, value = x[finite], value[finite]
+    true_value, true_derivative = _reference(name, x)
+    error = np.abs(value - true_value)
+    normal = np.abs(true_value) >= TINY
+    if name == "swish":
+        normal &= ~((BAND[0] < x) & (x < BAND[1]))
+    assert (error[normal] <= 3 * EPS * np.abs(true_value[normal])).all()
+    assert (error[np.abs(true_value) < TINY] <= 2.3e-308).all()
+    if derivative is not None:
+        derivative = derivative[finite]
+        assert (np.abs(derivative - true_derivative) <= 3 * EPS * (1 + np.abs(x))).all()
+
+
 class TestBranchFreeSigmoid:
     FIXED = np.array([
         0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf,
@@ -307,26 +367,37 @@ class TestBranchFreeSigmoid:
     ])
 
     def test_fixed_cases_match_masked_form(self):
-        _assert_same_bits(_sigmoid(self.FIXED), _sigmoid_masked(self.FIXED))
+        # Both forms meet the contract, so they agree to within twice it.
+        _assert_within_contract("sigmoid", self.FIXED, _sigmoid(self.FIXED))
+        _assert_within_contract("sigmoid", self.FIXED, _sigmoid_masked(self.FIXED))
 
     def test_wide_block_and_strided_view_match_masked_form(self):
         block = np.random.default_rng(11).normal(scale=20.0, size=(256, 301))
-        _assert_same_bits(_sigmoid(block), _sigmoid_masked(block))
-        _assert_same_bits(_sigmoid(block[:, :200]), _sigmoid_masked(block[:, :200]))
+        for x in (block, block[:, :200]):
+            _assert_within_contract("sigmoid", x, _sigmoid(x))
+            _assert_within_contract("sigmoid", x, _sigmoid_masked(x))
 
     @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
                   elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
-    def test_matches_masked_form_bit_for_bit(self, x):
-        _assert_same_bits(_sigmoid(x), _sigmoid_masked(x))
+    def test_meets_the_accuracy_contract(self, x):
+        _assert_within_contract("sigmoid", x, _sigmoid(x))
 
 
 def _activate(kind, x):
     """Z and J of ``x`` from ``activate_rows`` over ``row_blocks``, as ``forward`` runs them."""
     j = np.array(x, dtype=np.float64)  # J is written over this copy
     z = np.empty(j.shape)
-    for rows, e, sig in row_blocks(j, 2):
-        activate_rows(kind, j[rows], z[rows], e, sig)
+    for rows, e in row_blocks(j, 1):
+        activate_rows(kind, j[rows], z[rows], e)
     return z, j
+
+
+def _apply(kind, x):
+    """``apply_rows`` of ``x`` over ``row_blocks``, as ``predict`` runs it."""
+    z = np.array(x, dtype=np.float64)  # Z is written over this copy
+    for rows, e in row_blocks(z, 1):
+        apply_rows(kind, z[rows], e)
+    return z
 
 
 # Signed zeros, subnormals, the exp underflow edge (+-745) and beyond it (+-800),
@@ -368,7 +439,7 @@ class TestActivateRows:
 
     def test_softmax_rejected(self):
         with pytest.raises(ValueError):
-            activate_rows(ActivationKind("softmax"), *np.ones((4, 2, 3)))
+            activate_rows(ActivationKind("softmax"), *np.ones((3, 2, 3)))
 
 
 def _boundary_case(name):
@@ -398,16 +469,18 @@ BOUNDARY_CASES = ["block_rows_minus_1", "block_rows", "block_rows_plus_1",
 
 
 class TestBlockedKernels:
-    """The row-blocked kernels against the masked form, across block boundaries."""
+    """The row-blocked kernels against the accuracy contract and each other,
+    across block boundaries."""
 
     @pytest.mark.parametrize("case", BOUNDARY_CASES)
     def test_sigmoid_and_swish_match_masked_form(self, case):
+        # Both forms meet the contract, so they agree to within twice it.
         x = _boundary_case(case)
+        _assert_within_contract("sigmoid", x, _sigmoid(x))
+        _assert_within_contract("swish", x, *_activate(ActivationKind("swish"), x))
         s = _sigmoid_masked(x)
-        _assert_same_bits(_sigmoid(x), s)
-        z, j = _activate(ActivationKind("swish"), x)
-        _assert_same_bits(z, x * s)
-        _assert_same_bits(j, s + x * s * (1.0 - s))
+        _assert_within_contract("sigmoid", x, s)
+        _assert_within_contract("swish", x, x * s, s + x * s * (1.0 - s))
 
     @pytest.mark.parametrize("name", ["sigmoid", "swish"])
     @pytest.mark.parametrize("case", BOUNDARY_CASES)
@@ -415,22 +488,75 @@ class TestBlockedKernels:
         kind = ActivationKind(name)
         x = _boundary_case(case)
         up = np.random.default_rng(18).normal(size=x.shape)
-        s = _sigmoid_masked(x)
-        derivative = s * (1.0 - s) if name == "sigmoid" else s + x * s * (1.0 - s)
-        expected = derivative * up
-        _assert_same_bits(jacobian_product(kind, x, up), expected)
         z, j = _activate(kind, x)
-        _assert_same_bits(z, s if name == "sigmoid" else x * s)
-        _assert_same_bits(up * j, expected)
+        _assert_within_contract(name, x, z, j)
+        _assert_same_bits(jacobian_product(kind, x, up), up * j)
+
+    @pytest.mark.parametrize("name", ["sigmoid", "swish"])
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
+                    elements=FINITE))
+    def test_kernels_meet_the_accuracy_contract(self, name, x):
+        _assert_within_contract(name, x, *_activate(ActivationKind(name), x))
 
     @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_reused_blocks_hold_no_stale_values(self, name):
         kind = ActivationKind(name)
         first, later = np.random.default_rng(19).normal(scale=4.0, size=(2, 5, 7))
-        z = np.empty((5, 7))
-        e, sig = np.full((2, 5, 7), np.nan)
-        activate_rows(kind, first.copy(), z, e, sig)
+        z, e = np.full((2, 5, 7), np.nan)
+        activate_rows(kind, first.copy(), z, e)
         j = later.copy()
-        activate_rows(kind, j, z, e, sig)
+        activate_rows(kind, j, z, e)
         _assert_same_bits(z, apply_matrix(kind, later))
         _assert_same_bits(j, _derivative_elementwise(kind, later))
+        s = first.copy()
+        apply_rows(kind, s, e)
+        _assert_same_bits(s, apply_matrix(kind, first))
+
+
+class TestApplyRows:
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_bit_identical_to_apply_matrix(self, case, name):
+        kind = ActivationKind(name)
+        x = _boundary_case(case)
+        _assert_same_bits(_apply(kind, x), apply_matrix(kind, x))
+
+    def test_softmax_rejected(self):
+        with pytest.raises(ValueError):
+            apply_rows(ActivationKind("softmax"), *np.ones((2, 2, 3)))
+
+
+class TestOverflowBand:
+    """Where exp(-x) overflows, -745 < x < -709.78, the sigmoid is 0 and swish
+    -0; the masked form gave subnormals there."""
+
+    X = np.array([-744.9, -730.0, -715.0, -710.0, -709.79])
+
+    def test_sigmoid_and_swish_are_zero(self):
+        assert (_sigmoid_masked(self.X) > 0).all()
+        for name in ("sigmoid", "swish"):
+            kind = ActivationKind(name)
+            z, j = _activate(kind, self.X)
+            for value in (z, _apply(kind, self.X), apply_matrix(kind, self.X)):
+                np.testing.assert_array_equal(value, 0.0)
+                np.testing.assert_array_equal(np.signbit(value), name == "swish")
+            np.testing.assert_array_equal(j, 0.0)
+            np.testing.assert_array_equal(jacobian_product(kind, self.X, np.ones(5)), 0.0)
+
+    def test_just_above_the_band_the_sigmoid_is_subnormal(self):
+        x = np.array([-709.78, -709.0])
+        s = _sigmoid(x)
+        assert (0 < s).all() and (s < TINY).all()
+        _assert_within_contract("sigmoid", x, s)
+        _assert_within_contract("swish", x, *_activate(ActivationKind("swish"), x))
+
+    @pytest.mark.parametrize("name", ["sigmoid", "swish"])
+    def test_edges_emit_no_warning(self, name):
+        kind = ActivationKind(name)
+        x = np.array([745.0, -745.0, 800.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _activate(kind, x)
+            _apply(kind, x)
+            apply_matrix(kind, x)
+            jacobian_product(kind, x, np.ones(4))

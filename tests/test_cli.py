@@ -206,6 +206,31 @@ class TestAnnTrain:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("loss", ["poisson", "msle"])
+    def test_restricted_domain_loss_trains_on_raw_targets(self, tmp_path, capsys, loss):
+        # Targets > 0, whose z-scores fall below 0 (poisson's domain) and
+        # here also below -1 (msle's).
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(80, 3))
+        y = np.exp(x @ [0.3, 0.2, 0.1])
+        assert ((y - y.mean()) / y.std()).min() < -1
+        data = tmp_path / "positive.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in np.column_stack([x, y]).tolist()))
+        out, pred_out = tmp_path / "net.json", tmp_path / "pred.csv"
+        assert cli_main([
+            "ann-train", "--data", str(data), "--features", "a,b,c", "--targets", "y",
+            "--layers", "4:sigmoid,1:sigmoid", "--loss", loss, "--epochs", "50",
+            "--out", str(out),
+        ]) == 0
+        stats = json.loads(out.read_text())["normalization"]["targets"]
+        assert (stats["mean"], stats["std"]) == ([0.0], [1.0])
+        assert cli_main(["predict", "--model", str(out), "--data", str(data),
+                         "--out", str(pred_out)]) == 0
+        _, values = _read_predictions(pred_out)
+        # The sigmoid output in raw target units: no denormalization moved it.
+        assert values.shape == (80, 1) and ((0 < values) & (values < 1)).all()
+
     def test_deterministic_model_files(self, tmp_path):
         data = _write_sine_csv(tmp_path)
         args = [

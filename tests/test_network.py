@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import regkit.network
 from oracles import gradient_errors, numeric_network_gradients
@@ -15,7 +17,7 @@ from regkit.activations import (
 )
 from regkit.errors import DivergenceError, ShapeError
 from regkit.initializers import InitializerKind
-from regkit.losses import LossKind, loss_gradient
+from regkit.losses import LOSS_NAMES, LossKind, loss_gradient
 from regkit.network import (
     STOP_MAX_EPOCHS,
     STOP_TOLERANCE,
@@ -33,6 +35,8 @@ from regkit.network import (
     train,
 )
 from regkit.optimizers import OptimizerKind
+
+ELEMENTWISE = [name for name in ACTIVATION_NAMES if name != "softmax"]
 
 
 def _config(layers, loss="mse", optimizer="gd", init="xavier", epochs=10,
@@ -143,6 +147,26 @@ class TestForward:
         with pytest.raises(DivergenceError, match="layer 1"):
             forward(state, np.full((1, cols), 1e9))
 
+    def test_large_finite_entry_does_not_raise(self):
+        # A check by the sum of squares would overflow here.
+        state = _with_weight_row([(6, "swish"), (1, "identity")], 2, 1e200)
+        cache = forward(state, np.ones((1, 3)))
+        assert cache.activations[0][2, 0] == 1e200
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5, 11])  # the first, a middle and the last row block
+    def test_non_finite_entry_in_any_row_block_raises(self, value, row):
+        state = _with_weight_row([(12, "swish"), (1, "identity")], row, value)
+        with pytest.raises(DivergenceError, match="^non-finite pre-activations in layer 1$"):
+            forward(state, np.ones((1, TestPredict.COLS)))
+
+
+def _with_weight_row(layers, row, value):
+    """A network whose first layer's S has ``value`` in row ``row`` for an input of ones."""
+    state = init_network(_config(layers), 1)
+    state.weights[0][row] = value
+    return state
+
 
 class TestPredict:
     def test_matches_forward_bit_exactly(self):
@@ -209,6 +233,18 @@ class TestPredict:
         state.weights[1][4] = 1e308
         with pytest.raises(DivergenceError, match="^non-finite pre-activations in layer 2$"):
             predict(state, np.full((1, self.COLS), 1e9))
+
+    def test_large_finite_entry_does_not_raise(self):
+        state = _with_weight_row([(6, "swish"), (1, "identity")], 2, 1e200)
+        x = np.ones((1, 3))
+        _assert_same_bits(predict(state, x), forward(state, x).activations[-1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5, 11])  # the first, a middle and the last row block
+    def test_non_finite_entry_in_any_row_block_raises(self, value, row):
+        state = _with_weight_row([(12, "swish"), (1, "identity")], row, value)
+        with pytest.raises(DivergenceError, match="^non-finite pre-activations in layer 1$"):
+            predict(state, np.ones((1, self.COLS)))
 
 
 def _reference_predict(state, z):
@@ -357,6 +393,35 @@ class TestGradientsAgainstFiniteDifferences:
         targets = rng.uniform(0, 1, (4, 6))
         cache = forward(state, features)
         analytic = _backward_pass(state, cache, targets, config.loss)
+        numeric = numeric_network_gradients(state, config.loss, features, targets)
+        for (aw, ab), (nw, nb) in zip(analytic, numeric):
+            assert gradient_errors(aw, nw).max() <= 1e-4
+            assert gradient_errors(ab, nb).max() <= 1e-4
+
+    @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           kinds=st.lists(st.sampled_from(ELEMENTWISE), min_size=3, max_size=3),
+           softmax_at=st.one_of(st.none(), st.integers(0, 2)),
+           loss=st.sampled_from(LOSS_NAMES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kind_and_loss_against_the_oracle(self, widths, kinds, softmax_at, loss,
+                                                    seed):
+        names = kinds[: len(widths)]
+        if softmax_at is not None and softmax_at < len(widths):
+            names[softmax_at] = "softmax"
+        if loss in ("msle", "poisson") and names[-1] != "softmax":
+            names[-1] = "sigmoid"  # predictions inside msle's domain, > -1
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        config = _config(list(zip(widths, names)), loss=loss, seed=int(rng.integers(0, 2**31)))
+        state = init_network(config, n)
+        # With zero biases, a sample whose relu units are all off gives the next
+        # layer S = 0 exactly: the kink, where the left derivative 0 and central
+        # differences' 0.5 disagree.
+        for b in state.biases:
+            b[:] = rng.uniform(0.05, 0.3, b.shape)
+        features = rng.uniform(-1.0, 1.0, (n, p))
+        targets = rng.uniform(0.2, 1.5, (widths[-1], p))  # inside every loss's domain
+        analytic = _backward_pass(state, forward(state, features), targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             assert gradient_errors(aw, nw).max() <= 1e-4
