@@ -337,7 +337,7 @@ def _assert_within_contract(name, x, value, derivative=None):
     if derivative is not None:
         np.testing.assert_array_equal(np.isnan(derivative), nan)
     finite = np.isfinite(x)
-    if name == "sigmoid":  # swish is never evaluated at +-inf (an invalid inf * 0)
+    if name == "sigmoid":  # swish is never evaluated at +-inf (-inf / inf is invalid)
         np.testing.assert_array_equal(value[x == np.inf], 1.0)
         np.testing.assert_array_equal(value[x == -np.inf], 0.0)
     else:
@@ -401,7 +401,7 @@ def _apply(kind, x):
 
 
 # Signed zeros, subnormals, the exp underflow edge (+-745) and beyond it (+-800),
-# mixed with any finite value.  At +-inf swish's x * sigmoid(x) is an invalid inf * 0.
+# mixed with any finite value.  At -inf swish's x / (1 + exp(-x)) is an invalid inf / inf.
 EDGES = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
     -2.2250738585072014e-308, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
@@ -448,7 +448,7 @@ def _boundary_case(name):
     width = 300
     rows = _BLOCK_BYTES // (8 * width)  # rows per block at this width
     wide = rng.normal(scale=20.0, size=(rows + 1, width))
-    # The finite fixed cases: at +-inf swish's x * sigmoid(x) is an invalid inf * 0.
+    # The finite fixed cases: at -inf swish's x / (1 + exp(-x)) is an invalid inf / inf.
     fixed = TestBranchFreeSigmoid.FIXED[np.isfinite(TestBranchFreeSigmoid.FIXED)]
     wide.flat[: fixed.size] = fixed
     return {
