@@ -55,6 +55,14 @@ def non_negative_int(text: str) -> int:
     return seed
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of ``--max-iters`` and ``--epochs``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """The argparse type of ``--epsilon``: a finite number > 0."""
     value = float(text)
@@ -82,7 +90,7 @@ def _build_parser() -> _Parser:
     ols.add_argument("--method", choices=("analytic", "gd"), default="analytic")
     ols.add_argument("--epsilon", type=positive_float, default=1e-10,
                      help="iterative stopping tolerance (gd method)")
-    ols.add_argument("--max-iters", type=int, default=10000,
+    ols.add_argument("--max-iters", type=positive_int, default=10000,
                      help="iteration cap (gd method)")
     ols.add_argument("--fallback-gd", action="store_true",
                      help="fall back to gd when the normal matrix is singular")
@@ -99,7 +107,7 @@ def _build_parser() -> _Parser:
     ann.add_argument("--loss", default="mse")
     ann.add_argument("--optimizer", default="adam")
     ann.add_argument("--init", default="xavier")
-    ann.add_argument("--epochs", type=int, default=1000, help="maximum epochs")
+    ann.add_argument("--epochs", type=positive_int, default=1000, help="maximum epochs")
     ann.add_argument("--epsilon", type=positive_float, default=1e-8,
                      help="validation-loss gap that stops training")
     ann.add_argument("--val-fraction", type=open_fraction, default=0.2)
@@ -164,12 +172,7 @@ def _report(*lines: str) -> None:
 
 def _run_ols_fit(args) -> int:
     schema = _schema(args)
-    gd_config = None
-    if args.method == "gd" or args.fallback_gd:
-        try:
-            gd_config = GdConfig(args.epsilon, args.max_iters)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    gd_config = GdConfig(args.epsilon, args.max_iters)
     features, targets = load_csv(args.data, schema)
     features, fstats = normalize(features, columns=schema.feature_columns)
     targets, tstats = normalize(targets, columns=schema.target_columns)

@@ -175,10 +175,11 @@ def bb_learning_rate(l_step, z, *, lz=None) -> float:
     ``l_step`` is the difference of successive coefficient iterates and
     ``z`` the normal matrix.  ``lz``, when given, is the product ``L Z``
     the caller already formed, of the shape of ``l_step``, so the rate
-    costs no product; the pair may be given in any orthonormal basis, as
-    ``solve_gd`` does.  Raises DegenerateStepError when ``L Z`` is zero,
-    i.e. the iterate did not move, and ValueError when the rate is not
-    finite, e.g. for non-finite input.
+    costs no product.  The pair may be given in any orthonormal basis:
+    ``solve_gd`` passes ``M = L V`` and the elementwise ``M Λ`` in the
+    eigenbasis of ``Z = V Λ V^T``.  Raises DegenerateStepError when
+    ``L Z`` is zero, i.e. the iterate did not move, and ValueError when
+    the rate is not finite, e.g. for non-finite input.
     """
     l_step = np.asarray(l_step, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -224,16 +225,14 @@ def solve_gd(
     ``B <- B - (|L : L Z| / ||L Z||^2) (B Z - Y X)`` with
     ``L = B_t - B_{t-1}``, until the step norm drops below
     ``config.epsilon`` or ``config.max_iterations`` updates were made.
-    ``L`` and ``B`` are kept as the two row halves of one block, so each
-    step makes one product with Z, whose halves are ``L Z`` (passed to
-    ``bb_learning_rate`` as ``lz``) and ``B Z``.  A fit that reaches
-    iteration ``_eigenbasis_start(n + 1)`` then takes one ``eigh``,
-    ``Z = V Λ V^T``, and goes on in that eigenbasis, on ``C = B V`` and
-    ``M = L V``: the rate, the step norm and the update are those of B and
-    L, and each step's product is elementwise with Λ (Fletcher 2005).
-    ``callback``, when given, receives every iterate starting with B0, in
-    the original basis and none of them in a buffer the loop writes to
-    again.
+    Before its first such step the fit takes one ``eigh``,
+    ``Z = V Λ V^T``, and runs every step in that eigenbasis, on ``C = B V``
+    and ``M = L V``: the rate, the step norm and the update are those of B
+    and L, and each step's product with Z is the elementwise ``M Λ`` and
+    ``C Λ`` (Fletcher 2005).  A fit that stops after the first update takes
+    no ``eigh``.  ``callback``, when given, receives every iterate starting
+    with B0, in the original basis and none of them in a buffer the loop
+    writes to again.
     """
     x, y = problem.x_design, problem.y_targets
     z = x.T @ x
@@ -255,50 +254,36 @@ def solve_gd(
     _require_finite(b, 1)
     if callback is not None:
         callback(b)
-    # L on top of B: one product with Z gives L Z (top half) and B Z.  From
-    # iteration `start` on, the block and K are in the eigenbasis of Z, and
-    # the product is the elementwise one with the eigenvalues.
-    m = k.shape[0]
-    lb, kv, v = np.concatenate([b - b_prev, b]), k, None
-    start = _eigenbasis_start(z.shape[0])
-    iterations = 1
+    step, iterations = b - b_prev, 1
 
-    while _frobenius_norm(lb[:m]) > config.epsilon and iterations < config.max_iterations:
-        if v is None and iterations >= start:
-            lam, v = np.linalg.eigh(z)
-            lb, kv = lb @ v, k @ v
-        prod = lb @ z if v is None else lb * lam
-        try:
-            gamma = bb_learning_rate(lb[:m], z, lz=prod[:m])
-        except DegenerateStepError:
-            # A zero step is a fixed point of the update: stop as converged.
-            lb[:m] = 0.0
-            break
-        c = lb[m:] - 2.0 * gamma * (prod[m:] - kv)
-        _require_finite(c, iterations + 1)
-        if callback is not None:
-            callback(c if v is None else c @ v.T)
-        np.subtract(c, lb[m:], out=lb[:m])
-        lb[m:] = c
-        iterations += 1
+    if _frobenius_norm(step) > config.epsilon and config.max_iterations > 1:
+        lam, v = np.linalg.eigh(z)
+        c, step, kv = b @ v, step @ v, k @ v
+        while True:
+            try:
+                gamma = bb_learning_rate(step, z, lz=step * lam)
+            except DegenerateStepError:
+                # A zero step is a fixed point of the update: stop as converged.
+                step[:] = 0.0
+                break
+            iterations += 1
+            c_next = c - 2.0 * gamma * (c * lam - kv)
+            _require_finite(c_next, iterations)
+            step, c = c_next - c, c_next
+            if callback is not None:
+                callback(c @ v.T)
+            if _frobenius_norm(step) <= config.epsilon or iterations >= config.max_iterations:
+                break
+        if iterations > 1:
+            b = c @ v.T
+            _require_finite(b, iterations)
 
-    b = lb[m:] if v is None else lb[m:] @ v.T
-    _require_finite(b, iterations)
-    final_norm = _frobenius_norm(lb[:m])
+    final_norm = _frobenius_norm(step)
     gradient_norm = _frobenius_norm(b @ z - k)
     k_norm = _frobenius_norm(k)
     trace = GdTrace(iterations, final_norm, final_norm < config.epsilon,
                     gradient_norm / k_norm if k_norm > 0.0 else gradient_norm)
     return OlsModel(b), trace
-
-
-def _eigenbasis_start(size: int) -> int:
-    # The iteration at which solve_gd changes to the eigenbasis of the
-    # size x size matrix Z.  One eigh of Z costs as much time as about 115
-    # to 650 steps that multiply by Z for size 100 to 400, and 177 to 373
-    # for size 600 to 1000 (1 to 8 targets, 2 cores, OpenBLAS); a fit that
-    # stops before this never pays for it.
-    return 100 + size // 5
 
 
 def _require_finite(b: np.ndarray, iteration: int) -> None:

@@ -115,10 +115,12 @@ class TestOlsFit:
                             r"relative gradient \S+", summary), summary
 
     @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--epsilon", "-1")])
-    @pytest.mark.parametrize("path", [["--method", "gd"], ["--fallback-gd"]],
-                             ids=["gd", "fallback"])
+    @pytest.mark.parametrize("path", [["--method", "gd"], ["--fallback-gd"], []],
+                             ids=["gd", "fallback", "analytic"])
     def test_bad_gd_setting_exits_1(self, tmp_path, capsys, flag, value, path):
-        # Singular data, so --fallback-gd would reach the gd solver.
+        # Singular data, so --fallback-gd would reach the gd solver; the
+        # options are checked where they are parsed, so the analytic path
+        # refuses them too.
         data = tmp_path / "dup.csv"
         data.write_text("a,b,y\n1,1,1\n2,2,2\n3,3,4\n", encoding="utf-8")
         out = tmp_path / "m.json"
@@ -681,6 +683,17 @@ class TestUsage:
         assert err.startswith("usage: ") and err.count("usage") == 1, err
         assert err.endswith(
             f"error: argument --epsilon: expected a finite number > 0, got {value}\n")
+        assert not out.exists()
+
+    def test_zero_epochs_exits_1_with_one_usage_line(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        args = ["ann-train", "--data", str(_write_sine_csv(tmp_path)), "--features", "x",
+                "--targets", "y", "--layers", "2:swish,1:identity", "--epochs", "0",
+                "--out", str(out)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("usage") == 1, err
+        assert err.endswith("error: argument --epochs: expected an integer >= 1, got 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "1.5"])

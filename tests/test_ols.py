@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import regkit.ols
@@ -401,6 +401,28 @@ class TestSolveGd:
             solve_gd(_three_target_problem(24), GdConfig(1e-300, 50))
         assert info.value.iteration == iteration
 
+    # A fit whose step norm falls below u ||B|| agrees with solve_analytic
+    # within the normal-equation bound 10 κ(X)^2 u (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 20); a fit that reaches the cap
+    # first is skipped.  Over 400 seeded draws from these strategies the
+    # worst was 0.40 of the bound, and 15% of the fits reached the cap.
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(2, 6), st.integers(0, 32)),
+           seed=_SEEDS, log_kappa=st.floats(0.0, 4.0))
+    def test_converged_fit_agrees_with_analytic(self, shape, seed, log_kappa):
+        m, n, extra_rows = shape
+        p = n + 2 + extra_rows
+        rng = np.random.default_rng(seed)
+        features = _conditioned_features(rng, p, n, 10.0**log_kappa)
+        design = np.hstack([features, np.ones((p, 1))])
+        targets = design @ rng.normal(size=(n + 1, m)) + 0.1 * rng.normal(size=(p, m))
+        problem = build_problem(features, targets)
+        analytic = solve_analytic(problem).b
+        u = np.finfo(np.float64).eps
+        model, trace = solve_gd(problem, GdConfig(u * np.linalg.norm(analytic), 500))
+        assume(trace.converged)
+        bound = 10.0 * np.linalg.cond(design) ** 2 * u
+        assert np.linalg.norm(model.b - analytic) <= bound * np.linalg.norm(analytic)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_epsilon_or_gamma0_rejected(self, value):
         with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
@@ -457,22 +479,19 @@ class TestOneProductPerIteration:
     per step is the elementwise M Λ of the rotated step M = L V."""
 
     def test_loop_rate_matches_the_rate_without_lz(self, monkeypatch):
-        # Before the change of basis the γ the loop uses is the BB rate of its
-        # step with Z; from then on, that of its rotated step with diag(λ) as
-        # the normal matrix.  Either product is formed by bb_learning_rate.
+        # The γ the loop uses is the BB rate of its rotated step with diag(λ)
+        # as the normal matrix, here formed by bb_learning_rate's own product.
         problem = _three_target_problem(14)
-        z = problem.x_design.T @ problem.x_design
-        lam = np.linalg.eigh(z)[0]
-        start = regkit.ols._eigenbasis_start(z.shape[0])
+        lam = np.linalg.eigh(problem.x_design.T @ problem.x_design)[0]
         recorder = _RecordingRate()
         monkeypatch.setattr(regkit.ols, "bb_learning_rate", recorder)
-        _, trace = solve_gd(problem, GdConfig(1e-300, start + 50))
-        assert trace.iterations == start + 50 and len(recorder.calls) == start + 49
-        for iteration, (l_step, rate) in enumerate(recorder.calls, start=1):
-            exact = bb_learning_rate(l_step, z if iteration < start else np.diag(lam))
+        _, trace = solve_gd(problem, GdConfig(1e-300, 150))
+        assert trace.iterations == 150 and len(recorder.calls) == 149
+        for l_step, rate in recorder.calls:
+            exact = bb_learning_rate(l_step, np.diag(lam))
             assert abs(rate - exact) <= 1e-12 * exact
 
-    # Here the loop changes to the eigenbasis at its first step.  It is
+    # The loop runs in the eigenbasis from its first BB step.  That is
     # another float sequence than the product form,
     # and BB amplifies rounding by up to about κ(Z) per step.  Where Z is
     # well conditioned (κ(Z) = 4.2) the whole trajectory, with its step
@@ -488,8 +507,7 @@ class TestOneProductPerIteration:
          True),
         (_three_target_problem(17), 150, False, False),
     ], ids=["3-targets", "2-targets", "capped"])
-    def test_iterates_match_a_two_product_loop(self, monkeypatch, problem, cap, converged, whole):
-        monkeypatch.setattr(regkit.ols, "_eigenbasis_start", lambda size: 1)
+    def test_iterates_match_a_two_product_loop(self, problem, cap, converged, whole):
         u = np.finfo(np.float64).eps
         expected, expected_converged = _two_product_reference(problem, 1e-13, cap)
         seen = []
@@ -518,37 +536,42 @@ class TestOneProductPerIteration:
         _three_target_problem(17),
     ], ids=["3-targets", "2-targets", "capped"])
     def test_each_iterate_is_one_bb_step_across_the_change_of_basis(self, problem):
-        # Before, at and after the change of basis, every iterate is one BB
-        # step of the product form from the two before it, up to the
-        # rounding one step amplifies, κ(Z) u (worst seen 2.0 κ(Z) u).
+        # The first update is made in the original basis and every later one
+        # in the eigenbasis.  Each iterate from the third on is one BB step
+        # of the product form from the two before it, up to the rounding of
+        # those two, which the rate amplifies by up to κ(Z) and the update by
+        # the growth of the step, ||B_{t+1} - B_t|| / ||B_t - B_{t-1}||
+        # (up to 2,000 here; worst seen 3.3 κ(Z) u times the growth).
         z, k = problem.x_design.T @ problem.x_design, problem.y_targets @ problem.x_design
         tolerance = 10.0 * np.linalg.cond(z) * np.finfo(np.float64).eps
-        start = regkit.ols._eigenbasis_start(z.shape[0])
         seen = []
-        _, trace = solve_gd(problem, GdConfig(1e-300, start + 60), callback=seen.append)
-        assert trace.iterations > start
+        _, trace = solve_gd(problem, GdConfig(1e-300, 160), callback=seen.append)
+        assert trace.iterations > 30
         for before, b, after in zip(seen, seen[1:], seen[2:]):
             l_step = b - before
             lz = l_step @ z
             gamma = abs(np.sum(l_step * lz)) / (2.0 * np.sum(lz * lz))
             want = b - 2.0 * gamma * (b @ z - k)
-            assert np.max(np.abs(after - want)) <= tolerance * np.max(np.abs(want))
+            growth = max(1.0, np.linalg.norm(after - b) / np.linalg.norm(l_step))
+            assert np.max(np.abs(after - want)) <= tolerance * growth * np.max(np.abs(want))
 
-    def test_eigh_runs_once_and_only_when_the_loop_reaches_the_start(self, monkeypatch):
+    def test_one_eigh_per_fit_that_takes_a_bb_step(self, monkeypatch):
         problem = _three_target_problem(25)
-        start = regkit.ols._eigenbasis_start(problem.n + 1)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda z: calls.append(z) or eigh(z))
-        for cap, expected in [(1, 0), (start, 0), (start + 1, 1), (start + 30, 1)]:
+        for cap, expected in [(1, 0), (2, 1), (30, 1), (300, 1)]:
             calls.clear()
             _, trace = solve_gd(problem, GdConfig(1e-300, cap))
             assert trace.iterations == cap and len(calls) == expected
-        # A fit that stops on its step norm before the start never pays for it.
-        calls.clear()
-        _, trace = solve_gd(_random_problem(np.random.default_rng(26), noise=0.1)[0],
-                            GdConfig(1e-12, 10000))
-        assert trace.converged and trace.iterations < start and not calls
+        # A fit that stops on its step norm takes one; a fit whose first
+        # update is already below epsilon takes no BB step and no eigh.
+        for epsilon, expected in [(1e-12, 1), (1e6, 0)]:
+            calls.clear()
+            _, trace = solve_gd(_random_problem(np.random.default_rng(26), noise=0.1)[0],
+                                GdConfig(epsilon, 10000))
+            assert trace.converged and len(calls) == expected
+            assert (trace.iterations > 1) == (expected == 1)
 
     @pytest.mark.parametrize("epsilon, cap", [(1e-300, 40), (1e-10, 20000)])
     def test_rate_called_once_per_iteration_after_the_first(self, monkeypatch, epsilon, cap):
