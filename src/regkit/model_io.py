@@ -191,7 +191,11 @@ def load_model(path) -> LoadedModel:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integers, deep nesting
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at the top level")

@@ -1,19 +1,20 @@
 """Dense feedforward networks trained by batch backpropagation.
 
-Data layout: one sample per column.  The forward pass runs training and
-validation columns side by side in a single ``(features, p + s)`` block;
-the backward pass sees only the first p (training) columns, so
-validation targets can never influence a gradient.  The forward pass
-keeps what the backward pass reads and nothing else: each layer's output
-Z and, for an elementwise activation f other than identity, its
-derivative J = f'(S) at the pre-activations ``S = W Z_prev + b``, written
-over S.  The backward pass is the streamlined backpropagation
+Data layout: one sample per column.  One layer loop runs the forward
+algorithm ``Z_l = f(W_l Z_{l-1} + b_l)``.  Training runs its training and
+validation columns side by side in a single ``(features, p + s)`` block
+and caches what the backward pass reads and nothing else: each layer's Z
+and, for an elementwise f other than identity, J = f'(S) at the
+pre-activations ``S = W Z_prev + b``, written over S.  Prediction caches
+nothing and writes each Z over its S.  The backward pass sees only the
+first p (training) columns, so validation targets can never influence a
+gradient; it is the streamlined backpropagation
 ``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training allocates the
-cache's blocks once: every later epoch writes into the blocks of the
-epoch before.  Each hidden layer's delta is written over the training
-columns of that layer's own cached Z, which the weight gradient of the
-layer above has read for the last time; only a softmax hidden layer,
-whose Jacobian product reads Z, has a delta block of its own.
+cache's blocks once: every later epoch writes into those of the epoch
+before.  Each hidden layer's delta is written over the training columns
+of that layer's own cached Z, which the weight gradient of the layer
+above has read for the last time; only a softmax hidden layer, whose
+Jacobian product reads Z, has a delta block of its own.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -167,11 +168,9 @@ def _input_block(state: NetworkState, z0) -> np.ndarray:
 def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> ForwardCache:
     """Run all columns through the network, caching Z and J = f'(S) per layer.
 
-    Each layer forms ``S = W Z_prev`` in one product and then, one row
-    block at a time, adds the bias, checks that S is finite, and writes Z
-    and J.  ``out`` takes a cache an earlier call returned for this
-    network and a block with as many columns; its blocks are overwritten
-    in place and it is returned, holding ``z0`` as its input block.
+    ``out`` takes a cache an earlier call returned for this network and a
+    block with as many columns; its blocks are overwritten in place and it
+    is returned, holding ``z0`` as its input block.
     """
     z = _input_block(state, z0)
     k = len(state.weights)
@@ -185,53 +184,48 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
                 f"expected {shapes}"
             )
         out.z0 = z
-    for i, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations)):
-        keep = act.name not in ("identity", "softmax")  # J is written over S
-        s = out.derivatives[i] if keep else out.activations[i]
-        s = w @ z if s is None else np.matmul(w, z, out=s)
-        z = out.activations[i] if keep else s
-        if z is None:
-            z = np.empty(s.shape)
-        for rows, block, scratch in _biased_blocks(i + 1, s, b, 1 if keep else 0):
-            if keep:
-                activate_rows(act, block, z[rows], *scratch)
-        scratch = None  # else it holds this layer's scratch while the next layer's is made
-        if act.name == "softmax":
-            softmax_columns(s, out=s)
-        out.activations[i], out.derivatives[i] = z, s if keep else None
+    _run_layers(state, z, out)
     return out
 
 
 def predict(state: NetworkState, features) -> np.ndarray:
     """Forward pass without a cache; columns of ``features`` are samples.
+    Each layer's Z is written over its S, so no more than two layer blocks
+    are alive at once."""
+    return _run_layers(state, _input_block(state, features), None)
 
-    Each layer's Z is written over its ``S = W Z_prev + b`` one row block
-    at a time, as in ``forward``, so no more than two layer blocks are
-    alive at once.
+
+def _run_layers(state: NetworkState, z: np.ndarray, cache: ForwardCache | None) -> np.ndarray:
+    """The forward pass over the input block ``z``; returns the output Z.
+
+    Each layer forms ``S = W Z_prev`` in one product, then adds the bias
+    one row block at a time, checks that the block is finite and applies
+    an elementwise f; softmax runs over the whole block after.  Given a
+    cache, its blocks take S, Z and J; without one, Z is written over S.
     """
-    z = _input_block(state, features)
-    for l, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations), 1):
-        z = w @ z
+    for i, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations)):
         elementwise = act.name not in ("identity", "softmax")
-        for _, block, scratch in _biased_blocks(l, z, b, 1 if elementwise else 0):
-            if elementwise:
+        keep = cache is not None and elementwise  # J is written over S
+        s = None if cache is None else (cache.derivatives if keep else cache.activations)[i]
+        s = w @ z if s is None else np.matmul(w, z, out=s)
+        z = cache.activations[i] if keep else s
+        if z is None:
+            z = np.empty(s.shape)
+        for rows, *scratch in row_blocks(s, int(elementwise)):
+            block = s[rows]
+            block += b[rows]
+            if not np.isfinite(block).all():
+                raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
+            if keep:
+                activate_rows(act, block, z[rows], *scratch)
+            elif elementwise:
                 apply_rows(act, block, *scratch)
-        scratch = None
+        scratch = None  # else it holds this layer's scratch while the next layer's is made
         if act.name == "softmax":
-            softmax_columns(z, out=z)
+            softmax_columns(s, out=s)
+        if cache is not None:
+            cache.activations[i], cache.derivatives[i] = z, s if keep else None
     return z
-
-
-def _biased_blocks(layer: int, s: np.ndarray, b: np.ndarray, scratch: int):
-    """Add the bias column ``b`` to ``s = W Z_prev`` one row block at a time,
-    checking that each block is finite, and yield its rows, the block and
-    a list of ``scratch`` scratch blocks of its shape."""
-    for rows, *buf in row_blocks(s, scratch):
-        block = s[rows]
-        block += b[rows]
-        if not np.isfinite(block).all():
-            raise DivergenceError(f"non-finite pre-activations in layer {layer}")
-        yield rows, block, buf
 
 
 def batch_validation_loss(cache: ForwardCache, val_targets, loss: LossKind) -> float:

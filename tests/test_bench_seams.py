@@ -97,3 +97,21 @@ def test_every_public_function_has_a_caller_outside_the_tests(module):
               if inspect.isfunction(value) and value.__module__ == module.__name__
               and not name.startswith("_")}
     assert sorted(public - used - traced) == []
+
+
+def test_every_function_is_used_traced_or_exported():
+    """Every top-level function of every regkit module is referenced by regkit
+    code, its own module included, traced by perfbench or listed in
+    ``regkit.__all__``; one that none of these reach is dead code."""
+    paths = sorted(Path(regkit.__file__).resolve().parent.glob("*.py"))
+    used = set().union(*map(_names_in, paths))
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {(mod, attr) for _, mod, attr, *_ in tracing.SPANS + tracing.COUNTED}
+    unreached = [f"{path.stem}.{node.name}" for path in paths
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name not in used and node.name not in regkit.__all__
+                 and (f"regkit.{path.stem}", node.name) not in traced]
+    assert sorted(unreached) == []

@@ -484,6 +484,44 @@ def _mutated_model(draw):
     return doc
 
 
+@st.composite
+def _mutated_bytes(draw):
+    """A tiny model file cut at some offset, or with one byte overwritten
+    by any value."""
+    raw = bytearray(_tiny_model_files()[draw(st.sampled_from(["ols", "ann"]))], "utf-8")
+    i = draw(st.integers(0, len(raw) - 1))
+    value = draw(st.one_of(st.none(), st.integers(0, 255)))
+    if value is None:
+        return bytes(raw[:i])
+    raw[i] = value
+    return bytes(raw)
+
+
+def _predict_with_model_bytes(raw: bytes) -> tuple[int, str]:
+    """Run ``predict`` with a model file holding ``raw`` and check that it
+    writes finite rows or exits 2 with one ``data error:`` line and no
+    output file; returns the exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data, out = (Path(tmp) / name for name in ("m.json", "d.csv", "p.csv"))
+        model.write_bytes(raw)
+        data.write_text(_MUTATION_DATA, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli_main(["predict", "--model", str(model), "--data", str(data),
+                             "--out", str(out)])
+        if code == 0:
+            header, values = _read_predictions(out)
+            assert header == list(load_model(model).target_stats.columns)
+            assert values.shape == (3, len(header))
+            assert np.isfinite(values).all()
+        else:
+            assert code == 2, err.getvalue()
+            assert err.getvalue().startswith("data error: ")
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
+    return code, err.getvalue()
+
+
 class TestModelFileMutations:
     @given(doc=_mutated_model())
     def test_predict_writes_finite_rows_or_exits_2_with_one_line(self, doc):
@@ -505,6 +543,19 @@ class TestModelFileMutations:
                 assert err.getvalue().startswith("data error: ")
                 assert err.getvalue().count("\n") == 1, err.getvalue()
                 assert not out.exists()
+
+    @given(raw=_mutated_bytes())
+    def test_cut_or_overwritten_file_writes_finite_rows_or_exits_2(self, raw):
+        _predict_with_model_bytes(raw)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xff\xfe{}", "not UTF-8 text (byte 0xff: "),
+        (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+        (b'{"format_version": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    ], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    def test_unreadable_file_exits_2_with_one_line(self, raw, message):
+        code, err = _predict_with_model_bytes(raw)
+        assert code == 2 and message in err
 
 
 class TestPredictionsWriter:

@@ -204,6 +204,17 @@ class TestRejection:
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xff\xfe{}", r"not UTF-8 text \(byte 0xff: "),
+        (b"[" * 100_000 + b"]" * 100_000, r"not valid JSON \(maximum recursion depth"),
+        (b'{"format_version": ' + b"1" * 5000 + b"}", r"not valid JSON \(Exceeds the limit"),
+    ], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    def test_file_the_json_reader_cannot_read_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     def test_version_bump_rejected(self, tmp_path):
         config, state, fstats, tstats = _ann_fixture()
         path = tmp_path / "model.json"

@@ -254,6 +254,34 @@ def _reference_predict(state, z):
     return z
 
 
+class TestOneLayerLoop:
+    @given(layers=st.lists(st.tuples(st.integers(1, 6), st.sampled_from(ACTIVATION_NAMES)),
+                           min_size=1, max_size=4),
+           cols=st.one_of(st.integers(1, 9),
+                          st.builds(lambda rows, side: _BLOCK_BYTES // (8 * rows) + side,
+                                    st.integers(1, 6), st.integers(-1, 1))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_predict_and_reused_forward_match_a_fresh_forward(self, layers, cols, seed):
+        # At _BLOCK_BYTES // (8 * rows) columns a row block holds ``rows`` rows
+        # of a layer block, and one column more holds fewer.
+        rng = np.random.default_rng(seed)
+        state = init_network(_config(layers, seed=int(rng.integers(0, 2**31))), 3)
+        for b in state.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(scale=3.0, size=(3, cols))
+        fresh, z = forward(state, x), predict(state, x)
+        _assert_same_bits(z, fresh.activations[-1])
+        _assert_same_bits(z, _reference_predict(state, x))
+        again = forward(state, rng.normal(size=(3, cols)))
+        assert forward(state, x, out=again) is again
+        for got, want in zip(again.activations + again.derivatives,
+                             fresh.activations + fresh.derivatives):
+            if want is None:
+                assert got is None
+            else:
+                _assert_same_bits(got, want)
+
+
 class TestValidationLoss:
     def test_zero_when_predictions_match(self):
         state = init_network(_config([(1, "identity")]), 1)
