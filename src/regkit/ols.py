@@ -75,7 +75,7 @@ class OlsModel:
 class GdConfig:
     """Settings for the iterative solver.
 
-    ``epsilon`` stops the loop once the step norm falls below it;
+    ``epsilon`` stops the loop once the step norm is at or below it;
     ``gamma0`` and ``b0`` override the size-derived initial guesses.
     """
 
@@ -223,16 +223,18 @@ def solve_gd(
 
     The first update uses ``gamma0``; afterwards each step applies
     ``B <- B - (|L : L Z| / ||L Z||^2) (B Z - Y X)`` with
-    ``L = B_t - B_{t-1}``, until the step norm drops below
-    ``config.epsilon`` or ``config.max_iterations`` updates were made.
-    Before its first such step the fit takes one ``eigh``,
+    ``L = B_t - B_{t-1}``, until the step norm is at or below
+    ``config.epsilon`` (``converged``) or ``config.max_iterations`` updates
+    were made.  Before its first such step the fit takes one ``eigh``,
     ``Z = V Λ V^T``, and runs every step in that eigenbasis, on ``C = B V``
     and ``M = L V``: the rate, the step norm and the update are those of B
     and L, and each step's product with Z is the elementwise ``M Λ`` and
-    ``C Λ`` (Fletcher 2005).  A fit that stops after the first update takes
-    no ``eigh``.  ``callback``, when given, receives every iterate starting
-    with B0, in the original basis and none of them in a buffer the loop
-    writes to again.
+    ``C Λ`` (Fletcher 2005).  The steps run in three (m, n+1) buffers, for
+    C, M and scratch, and allocate only the iterates a callback receives.
+    A fit that stops after the first update takes no ``eigh``.
+    ``callback``, when given, receives every iterate starting with B0, in
+    the original basis and none of them in a buffer the loop writes to
+    again.
     """
     x, y = problem.x_design, problem.y_targets
     z = x.T @ x
@@ -259,20 +261,28 @@ def solve_gd(
     if _frobenius_norm(step) > config.epsilon and config.max_iterations > 1:
         lam, v = np.linalg.eigh(z)
         c, step, kv = b @ v, step @ v, k @ v
+        lam, scratch = np.broadcast_to(lam, c.shape).copy(), np.empty_like(c)
         while True:
             try:
-                gamma = bb_learning_rate(step, z, lz=step * lam)
+                gamma = bb_learning_rate(step, z, lz=np.multiply(step, lam, out=scratch))
             except DegenerateStepError:
                 # A zero step is a fixed point of the update: stop as converged.
                 step[:] = 0.0
                 break
             iterations += 1
-            c_next = c - 2.0 * gamma * (c * lam - kv)
-            _require_finite(c_next, iterations)
-            step, c = c_next - c, c_next
+            # C - 2γ (C Λ - K V), then the step over C: no array is allocated.
+            np.multiply(c, lam, out=scratch)
+            scratch -= kv
+            scratch *= 2.0 * gamma
+            np.subtract(c, scratch, out=scratch)
+            np.subtract(scratch, c, out=c)
+            c, step, scratch = scratch, c, step
+            norm = _frobenius_norm(step)
+            if not math.isfinite(norm):  # true whenever the new C is not finite
+                _require_finite(c, iterations)
             if callback is not None:
                 callback(c @ v.T)
-            if _frobenius_norm(step) <= config.epsilon or iterations >= config.max_iterations:
+            if norm <= config.epsilon or iterations >= config.max_iterations:
                 break
         if iterations > 1:
             b = c @ v.T
@@ -281,7 +291,7 @@ def solve_gd(
     final_norm = _frobenius_norm(step)
     gradient_norm = _frobenius_norm(b @ z - k)
     k_norm = _frobenius_norm(k)
-    trace = GdTrace(iterations, final_norm, final_norm < config.epsilon,
+    trace = GdTrace(iterations, final_norm, final_norm <= config.epsilon,
                     gradient_norm / k_norm if k_norm > 0.0 else gradient_norm)
     return OlsModel(b), trace
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -13,6 +16,7 @@ from regkit.model_io import LoadedModel, predict_rows
 from regkit.network import NetworkState, _backward_pass, forward
 from regkit.ols import (
     GdConfig,
+    GdTrace,
     OlsProblem,
     bb_learning_rate,
     build_problem,
@@ -401,6 +405,17 @@ class TestSolveGd:
             solve_gd(_three_target_problem(24), GdConfig(1e-300, 50))
         assert info.value.iteration == iteration
 
+    def test_step_norm_at_epsilon_stops_as_converged(self):
+        # The loop stops at a step norm <= epsilon, and so does `converged`.
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(40, 3))
+        targets = features @ rng.normal(size=(3, 2)) + 0.1 * rng.normal(size=(40, 2))
+        problem = build_problem(features, targets)
+        _, first = solve_gd(problem, GdConfig(1e-300, 1))
+        assert first.final_step_norm == 0.9737188925016953
+        _, trace = solve_gd(problem, GdConfig(first.final_step_norm, 100))
+        assert trace.iterations == 1 and trace.converged
+
     # A fit whose step norm falls below u ||B|| agrees with solve_analytic
     # within the normal-equation bound 10 κ(X)^2 u (Higham, Accuracy and
     # Stability of Numerical Algorithms, ch. 20); a fit that reaches the cap
@@ -600,6 +615,125 @@ class TestOneProductPerIteration:
         model_b = model.b.copy()
         solve_gd(_three_target_problem(20), GdConfig(1e-300, 30))
         np.testing.assert_array_equal(model.b, model_b)
+
+
+def _allocating_reference(problem, config, callback, norms=None):
+    """``solve_gd`` as it was before its loop reused three buffers: every
+    step allocates its temporaries and checks the new iterate for
+    non-finite entries; only ``converged`` takes the ``<=`` of the stop
+    rule.  ``norms``, when given, receives each step norm that rule
+    compares."""
+    norms = [] if norms is None else norms
+
+    def norm(a):
+        return math.sqrt(np.vdot(a, a))
+
+    def require_finite(b, iteration):
+        if not np.isfinite(b).all():
+            raise DivergenceError(f"iterate overflowed at iteration {iteration}",
+                                  iteration=iteration)
+
+    x, y = problem.x_design, problem.y_targets
+    z = x.T @ x
+    k = y @ x
+    b_prev, gamma0 = default_guesses(problem)
+    callback(b_prev)
+    b = b_prev - 2.0 * gamma0 * (b_prev @ z - k)
+    require_finite(b, 1)
+    callback(b)
+    step, iterations = b - b_prev, 1
+    norms.append(norm(step))
+    if norm(step) > config.epsilon and config.max_iterations > 1:
+        lam, v = np.linalg.eigh(z)
+        c, step, kv = b @ v, step @ v, k @ v
+        while True:
+            try:
+                gamma = regkit.ols.bb_learning_rate(step, z, lz=step * lam)
+            except DegenerateStepError:
+                step[:] = 0.0
+                break
+            iterations += 1
+            c_next = c - 2.0 * gamma * (c * lam - kv)
+            require_finite(c_next, iterations)
+            step, c = c_next - c, c_next
+            callback(c @ v.T)
+            norms.append(norm(step))
+            if norm(step) <= config.epsilon or iterations >= config.max_iterations:
+                break
+        if iterations > 1:
+            b = c @ v.T
+            require_finite(b, iterations)
+    final_norm = norm(step)
+    gradient_norm = norm(b @ z - k)
+    k_norm = norm(k)
+    trace = GdTrace(iterations, final_norm, final_norm <= config.epsilon,
+                    gradient_norm / k_norm if k_norm > 0.0 else gradient_norm)
+    return b, trace
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and _bits(a) == _bits(b)
+
+
+class TestReusedBuffers:
+    """The loop that writes into three reused buffers makes the float
+    operations of the allocating loop, in its order, so every output keeps
+    its bits."""
+
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(0, 24)),
+           seed=_SEEDS, log_kappa=st.floats(0.0, 4.0), duplicate=st.booleans(),
+           cap=st.integers(1, 400), log_epsilon=st.floats(-14.0, -2.0),
+           tie=st.one_of(st.none(), st.integers(0, 400)))
+    def test_every_output_matches_the_allocating_loop(
+            self, shape, seed, log_kappa, duplicate, cap, log_epsilon, tie):
+        m, n, extra_rows = shape
+        p = n + 2 + extra_rows
+        rng = np.random.default_rng(seed)
+        features = _conditioned_features(rng, p, n, 10.0**log_kappa)
+        if duplicate and n > 1:
+            features[:, -1] = features[:, 0]
+        design = np.hstack([features, np.ones((p, 1))])
+        targets = design @ rng.normal(size=(n + 1, m)) + 0.1 * rng.normal(size=(p, m))
+        problem = build_problem(features, targets)
+        epsilon = 10.0**log_epsilon
+        if tie is not None:
+            # Stop on a step norm exactly equal to epsilon.
+            norms = []
+            _allocating_reference(problem, GdConfig(1e-300, cap), lambda b: None, norms)
+            epsilon = norms[tie % len(norms)]
+            assume(epsilon > 0.0)
+        config = GdConfig(epsilon, cap)
+        want_seen, got_seen = [], []
+        want_b, want = _allocating_reference(problem, config, want_seen.append)
+        model, got = solve_gd(problem, config, callback=got_seen.append)
+        _assert_same_bits(got_seen, want_seen)
+        _assert_same_bits([model.b], [want_b])
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert _bits(got.final_step_norm) == _bits(want.final_step_norm)
+        assert _bits(got.relative_gradient) == _bits(want.relative_gradient)
+
+    # 1e308 overflows the update at once; 1e160 leaves the iterate finite
+    # and the step norm infinite for one step before the next update overflows.
+    @pytest.mark.parametrize("lead", [0, 3])
+    @pytest.mark.parametrize("huge", [1e308, 1e160])
+    def test_divergence_names_the_same_iteration(self, monkeypatch, lead, huge):
+        outcomes = []
+        for run in (_allocating_reference, solve_gd):
+            rates = itertools.chain([0.01] * lead, itertools.repeat(huge))
+            monkeypatch.setattr(regkit.ols, "bb_learning_rate", lambda *a, **k: next(rates))
+            seen = []
+            with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+                run(_three_target_problem(24), GdConfig(1e-300, 50), seen.append)
+            outcomes.append((info.value.iteration, seen))
+        (want_iteration, want_seen), (got_iteration, got_seen) = outcomes
+        assert got_iteration == want_iteration
+        _assert_same_bits(got_seen, want_seen)
 
 
 class TestRelativeGradient:
