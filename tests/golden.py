@@ -1,6 +1,6 @@
-"""The golden output corpus: OLS CLI runs whose output bytes are pinned.
+"""The golden output corpus: OLS and network CLI runs whose output bytes are pinned.
 
-``tests/data/golden/`` holds two small input CSVs, the files every row of
+``tests/data/golden/`` holds three small input CSVs, the files every row of
 ``ROWS`` wrote when the table was made (``expected/``), and ``table.json``:
 each row's argv, exit code and stdout, the SHA-256 of stdout and of every
 output file, and the fingerprint of the environment that wrote them.
@@ -34,12 +34,14 @@ from regkit.cli import cli_main
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 TABLE = GOLDEN / "table.json"
 EXPECTED = GOLDEN / "expected"
-INPUTS = ("train.csv", "train_dup.csv")
+INPUTS = ("train.csv", "train_dup.csv", "train_pos.csv")
 
 # Where the fingerprint differs, every output array must lie within this
 # normwise relative distance of the stored one.  Perturbing the features of
 # train.csv by 4e-16 relative moved the capped gd model by at most 3.6e-12
-# and the converged one by at most 7.1e-9 (200 draws).
+# and the converged one by at most 7.1e-9 (200 draws), and each network
+# model by at most 2.8e-16 (adam; 200 draws), so the network rows share
+# the bound.
 REL_BOUND = 1e-6
 
 _FIT = ["ols-fit", "--data", "train.csv", "--features", "x0,x1,x2,x3", "--targets", "y0,y1"]
@@ -58,6 +60,31 @@ ROWS = (
                            "--out", "gd50_pred.csv"]),
     ("predict-fallback-gd", ["predict", "--model", "fallback.json", "--data", "train_dup.csv",
                              "--out", "fallback_pred.csv"]),
+)
+
+# Seven tiny networks, 20 epochs each, that between them use every
+# activation, loss, optimizer and initializer; msle and poisson train on
+# train_pos.csv, whose targets are positive.  optimizer: (data, layers,
+# loss, initializer)
+_NETWORKS = {
+    "gd": ("train.csv", "5:sigmoid,2:identity", "mse", "random_uniform"),
+    "momentum": ("train.csv", "5:relu,2:identity", "mae", "random_normal"),
+    "nesterov": ("train.csv", "5:leaky_relu,2:prelu", "huber", "xavier"),
+    "adagrad": ("train.csv", "5:elu,2:identity", "log_cosh", "kaiming_uniform"),
+    "rmsprop": ("train.csv", "5:softmax,2:identity", "mse", "kaiming_normal"),
+    "adam": ("train_pos.csv", "5:swish,2:sigmoid", "msle", "lecun"),
+    "nadam": ("train_pos.csv", "4:swish,3:sigmoid,2:identity", "poisson", "xavier"),
+}
+ROWS += tuple(
+    (f"ann-train-{name}", ["ann-train", "--data", data, "--features", "x0,x1,x2,x3",
+                           "--targets", "y0,y1", "--layers", layers, "--loss", loss,
+                           "--optimizer", name, "--init", init, "--epochs", "20",
+                           "--seed", "3", "--out", f"ann_{name}.json"])
+    for name, (data, layers, loss, init) in _NETWORKS.items()
+) + tuple(
+    (f"predict-ann-{name}", ["predict", "--model", f"ann_{name}.json", "--data", data,
+                             "--out", f"ann_{name}_pred.csv"])
+    for name, (data, *_) in _NETWORKS.items()
 )
 
 
@@ -127,8 +154,9 @@ def mask_numbers(text: str) -> str:
 def write_inputs() -> None:
     """Write the input CSVs: 40 rows of 4 correlated features (cond(X)
     about 13, so gd at the CLI defaults takes about 120 steps) and 2 noisy
-    linear targets, and a copy with the column x0 repeated, whose normal
-    matrix is singular."""
+    linear targets, a copy with the column x0 repeated, whose normal
+    matrix is singular, and 40 rows of 4 other features with 2 positive
+    targets (log-linear, for msle and poisson)."""
     rng = np.random.default_rng(1)
     mix = np.array([[1.0, 0.9, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0],
                     [0.0, 0.0, 1.0, 0.8], [0.0, 0.0, 0.0, 0.15]])
@@ -140,6 +168,14 @@ def write_inputs() -> None:
              np.hstack([features, features[:, :1], targets]))]:
         lines = [header] + [",".join(f"{v:.6f}" for v in row) for row in columns]
         (GOLDEN / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # The positive targets come from their own stream, so the two files
+    # above keep their bytes.
+    rng = np.random.default_rng(2)
+    features = rng.normal(size=(40, 4))
+    targets = np.exp(0.3 * features @ rng.normal(size=(4, 2)) + 0.1 * rng.normal(size=(40, 2)))
+    lines = ["x0,x1,x2,x3,y0,y1"] + [",".join(f"{v:.6f}" for v in row)
+                                     for row in np.hstack([features, targets])]
+    (GOLDEN / "train_pos.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main() -> int:
