@@ -23,7 +23,7 @@ from .errors import DataError, DivergenceError, ModelFormatError
 from .network import NetworkConfig, NetworkState
 from .network import predict as network_predict
 from .ols import OlsModel
-from .optimizers import OptimizerKind, fresh_state
+from .optimizers import OptimizerKind
 
 FORMAT_VERSION = 1
 
@@ -32,7 +32,7 @@ FORMAT_VERSION = 1
 class LoadedModel:
     """A model read back from disk, ready for ``predict_rows``.  Given
     ``ols``, ``network`` is its one-layer identity network ``W z + b``,
-    whose W and b are views of the columns of B."""
+    whose one block ``[W b]`` is B itself."""
 
     kind: str  # "ols" | "ann"
     feature_stats: NormalizationStats
@@ -43,8 +43,7 @@ class LoadedModel:
 
     def __post_init__(self):
         if self.ols is not None:
-            b = self.ols.b
-            network = NetworkState([b[:, :-1]], [b[:, -1:]], (ActivationKind("identity"),))
+            network = NetworkState([self.ols.b], (ActivationKind("identity"),))
             object.__setattr__(self, "network", network)
 
 
@@ -228,7 +227,7 @@ def load_model(path) -> LoadedModel:
             layers = block["layers"]
             if not isinstance(layers, list) or not layers:
                 raise ModelFormatError(f"{path}: layers must be a non-empty list")
-            weights, biases, acts = [], [], []
+            blocks, acts = [], []
             for i, layer in enumerate(layers, start=1):
                 units = _integer(layer["units"], f"layer {i} units")
                 act = layer["activation"]
@@ -237,8 +236,9 @@ def load_model(path) -> LoadedModel:
                 if type(act.get("beta", 0)) not in (int, float):
                     raise ModelFormatError(f"layer {i} beta: expected a number")
                 acts.append(ActivationKind(act["name"], act.get("beta")))
-                weights.append(_reshape(layer["weights"], units, prev, f"layer {i} weights"))
-                biases.append(_reshape(layer["biases"], units, 1, f"layer {i} biases"))
+                blocks.append(np.hstack([
+                    _reshape(layer["weights"], units, prev, f"layer {i} weights"),
+                    _reshape(layer["biases"], units, 1, f"layer {i} biases")]))
                 prev = units
             _width(prev, m, f"layer {len(layers)} units", f"{m} target columns")
             fields = block["optimizer"]
@@ -247,14 +247,8 @@ def load_model(path) -> LoadedModel:
             for key, value in fields.items():
                 if key != "name" and type(value) not in (int, float):
                     raise ModelFormatError(f"optimizer {key}: expected a number")
-            optimizer = OptimizerKind(**fields)
-            state = NetworkState(
-                weights,
-                biases,
-                tuple(acts),
-                [fresh_state(optimizer, w.shape) for w in weights],
-                [fresh_state(optimizer, b.shape) for b in biases],
-            )
+            OptimizerKind(**fields)  # validates the file; train makes its own state
+            state = NetworkState(blocks, tuple(acts))
             seed = _integer(block["seed"], "seed", least=0)
             return LoadedModel("ann", feature_stats, target_stats, network=state, seed=seed)
         raise ModelFormatError(f"{path}: unknown model_kind {kind!r}")

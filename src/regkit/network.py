@@ -1,20 +1,21 @@
 """Dense feedforward networks trained by batch backpropagation.
 
-Data layout: one sample per column.  One layer loop runs the forward
-algorithm ``Z_l = f(W_l Z_{l-1} + b_l)``.  Training runs its training and
-validation columns side by side in a single ``(features, p + s)`` block
-and caches what the backward pass reads and nothing else: each layer's Z
-and, for an elementwise f other than identity, J = f'(S) at the
-pre-activations ``S = W Z_prev + b``, written over S.  Prediction caches
-nothing and writes each Z over its S.  The backward pass sees only the
-first p (training) columns, so validation targets can never influence a
-gradient; it is the streamlined backpropagation
-``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training allocates the
-cache's blocks once: every later epoch writes into those of the epoch
-before.  Each hidden layer's delta is written over the training columns
-of that layer's own cached Z, which the weight gradient of the layer
-above has read for the last time; only a softmax hidden layer, whose
-Jacobian product reads Z, has a delta block of its own.
+Data layout: one sample per column, and one parameter block
+``[W_l b_l]`` per layer, the form of OLS's B over ``[X 1]``.  One layer
+loop runs the forward algorithm ``Z_l = f(W_l Z_{l-1} + b_l)``.  Training
+runs its training and validation columns side by side in a single
+``(features, p + s)`` block and caches what the backward pass reads and
+nothing else: each layer's Z and, for an elementwise f other than
+identity, J = f'(S) at the pre-activations ``S = W Z_prev + b``, written
+over S.  Prediction caches nothing and writes each Z over its S.  The
+backward pass sees only the first p (training) columns, so validation
+targets can never influence a gradient; it is the streamlined
+backpropagation ``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training
+allocates the cache's blocks once: every later epoch writes into those
+of the epoch before.  Each hidden layer's delta is written over the
+training columns of that layer's own cached Z, which the weight gradient
+of the layer above has read for the last time; only a softmax hidden
+layer, whose Jacobian product reads Z, has a delta block of its own.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -23,7 +24,7 @@ epoch cap is reached, whichever happens first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .activations import (
 from .errors import DivergenceError, ShapeError
 from .initializers import InitializerKind, init_biases, init_weights, make_rng
 from .losses import LossKind, column_losses, loss_gradient
-from .optimizers import OptimizerKind, OptimizerState, fresh_state, optimizer_step
+from .optimizers import OptimizerKind, fresh_state, optimizer_step
 
 MAX_FLOAT = float(np.finfo(np.float64).max)
 
@@ -86,24 +87,29 @@ class NetworkConfig:
 
 @dataclass
 class NetworkState:
-    """All trainable values: per-layer weights ``(q_l, q_{l-1})``, bias
-    columns ``(q_l, 1)``, their activations, one optimizer state per
-    block, and the epoch counter."""
+    """All trainable values: one block ``[W_l b_l]`` of shape
+    ``(q_l, q_{l-1} + 1)`` per layer, whose columns ``weights`` and
+    ``biases`` view, plus the layers' activations and the epoch counter."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    blocks: list[np.ndarray]
     activations: tuple[ActivationKind, ...]
-    weight_opt: list[OptimizerState] = field(repr=False, default_factory=list)
-    bias_opt: list[OptimizerState] = field(repr=False, default_factory=list)
     epoch: int = 1
 
     @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return tuple(block[:, :-1] for block in self.blocks)
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(block[:, -1:] for block in self.blocks)
+
+    @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.blocks[0].shape[1] - 1
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.blocks[-1].shape[0]
 
 
 @dataclass
@@ -135,23 +141,18 @@ class TrainReport:
 def init_network(config: NetworkConfig, n: int) -> NetworkState:
     """Fresh state for ``n`` input features.
 
-    Layer l draws from its own stream seeded with ``config.seed + l`` so
-    layers are independent while the whole state stays reproducible.
-    Biases start at zero.
+    Layer l's block ``[W_l b_l]`` draws W_l from its own stream seeded
+    with ``config.seed + l`` so layers are independent while the whole
+    state stays reproducible.  Biases start at zero.
     """
     if n < 1:
         raise ValueError(f"feature dimension must be >= 1, got {n}")
     sizes = [n] + [spec.units for spec in config.layer_specs]
-    weights, biases, w_opt, b_opt = [], [], [], []
-    for l, spec in enumerate(config.layer_specs, start=1):
+    blocks = []
+    for l in range(1, len(sizes)):
         w = init_weights(config.initializer, sizes[l - 1], sizes[l], make_rng(config.seed + l))
-        b = init_biases(sizes[l])
-        weights.append(w)
-        biases.append(b)
-        w_opt.append(fresh_state(config.optimizer, w.shape))
-        b_opt.append(fresh_state(config.optimizer, b.shape))
-    acts = tuple(spec.activation for spec in config.layer_specs)
-    return NetworkState(weights, biases, acts, w_opt, b_opt, epoch=1)
+        blocks.append(np.hstack([w, init_biases(sizes[l])]))
+    return NetworkState(blocks, tuple(spec.activation for spec in config.layer_specs))
 
 
 def _input_block(state: NetworkState, z0) -> np.ndarray:
@@ -173,11 +174,11 @@ def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> Forw
     is returned, holding ``z0`` as its input block.
     """
     z = _input_block(state, z0)
-    k = len(state.weights)
+    k = len(state.blocks)
     if out is None:
         out = ForwardCache(z, [None] * k, [None] * k)
     else:
-        shapes = [(w.shape[0], z.shape[1]) for w in state.weights]
+        shapes = [(block.shape[0], z.shape[1]) for block in state.blocks]
         if [a.shape for a in out.activations] != shapes:
             raise ShapeError(
                 f"out holds blocks of shapes {[a.shape for a in out.activations]}, "
@@ -337,7 +338,7 @@ def _backward_pass(
     reads Z.
     """
     p = train_targets.shape[1]
-    k = len(state.weights)
+    k = len(state.blocks)
     grads = [None] * k
     delta = output_delta(cache, train_targets, loss, state.activations[-1])
     for l in range(k - 1, -1, -1):
@@ -378,9 +379,9 @@ def train(
     ``val_features`` (n, s), ``val_targets`` (m, s) with p, s >= 1.
     Each epoch: forward over all p+s columns, validation loss, and -
     unless the loss gap already undercuts the tolerance - one optimizer
-    update of every weight and bias block from gradients taken at this
-    epoch's pre-update parameters.  The state is updated in place and
-    returned together with the report.
+    update of every layer's block ``[W b]`` from gradients taken at this
+    epoch's pre-update parameters.  Each call starts the optimizer from a
+    fresh state.  The state is updated in place and returned with the report.
     """
     train_features = _input_block(state, train_features)
     val_features = _input_block(state, val_features)
@@ -404,6 +405,7 @@ def train(
     losses: list[float] = []
     epochs = 0
     cache = deltas = None
+    moments = [fresh_state(config.optimizer, block.shape) for block in state.blocks]
 
     while gap > config.tolerance and epochs < config.max_epochs:
         epoch = epochs + 1
@@ -417,14 +419,13 @@ def train(
             if gap >= config.tolerance:
                 grads = _backward_pass(state, cache, train_targets, config.loss,
                                        deltas=deltas)
-                for l in range(len(state.weights) - 1, -1, -1):
-                    grad_w, grad_b = grads[l]
-                    state.weights[l], state.weight_opt[l] = optimizer_step(
-                        config.optimizer, state.weight_opt[l], state.weights[l], grad_w
-                    )
-                    state.biases[l], state.bias_opt[l] = optimizer_step(
-                        config.optimizer, state.bias_opt[l], state.biases[l], grad_b
-                    )
+                for l in range(len(state.blocks) - 1, -1, -1):
+                    try:  # popping frees layer l's gradients before its step
+                        state.blocks[l], moments[l] = optimizer_step(
+                            config.optimizer, moments[l], state.blocks[l],
+                            np.hstack(grads.pop()))
+                    except DivergenceError as exc:
+                        raise DivergenceError(f"layer {l + 1}: {exc}") from None
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}", iteration=epoch) from None
         theta_prev = theta
@@ -475,18 +476,17 @@ def gradient_check(seed: int, n_configs: int = 50, step: float = 1e-5) -> float:
         def batch_loss() -> float:
             return float(np.mean(column_losses(config.loss, predict(state, features), targets)))
 
-        for l in range(k):
-            for block in (state.weights[l], state.biases[l]):
-                it = np.nditer(block, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    saved = block[idx]
-                    block[idx] = saved + step
-                    up = batch_loss()
-                    block[idx] = saved - step
-                    down = batch_loss()
-                    block[idx] = saved
-                    fd = (up - down) / (2.0 * step)
-                    bp = grads[l][0][idx] if block is state.weights[l] else grads[l][1][idx]
-                    worst = max(worst, abs(bp - fd) / max(abs(fd), 1e-3))
+        for block, grad in zip(state.blocks, grads):
+            grad = np.hstack(grad)
+            it = np.nditer(block, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                saved = block[idx]
+                block[idx] = saved + step
+                up = batch_loss()
+                block[idx] = saved - step
+                down = batch_loss()
+                block[idx] = saved
+                fd = (up - down) / (2.0 * step)
+                worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-3))
     return worst

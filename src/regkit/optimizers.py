@@ -2,8 +2,10 @@
 
 ``optimizer_step`` is pure: it returns fresh parameter and state values
 and never mutates its inputs, so repeated calls with the same arguments
-are bit-identical.  One state is kept per parameter block (each weight
-matrix and each bias vector separately).
+are bit-identical.  One state is kept per parameter block: ``train``
+keeps one per network layer, over its block ``[W b]``.  Every rule is
+elementwise, so one step on ``[W b]`` gives the bits of separate steps
+on W and on b.
 """
 
 from __future__ import annotations

@@ -107,6 +107,13 @@ class TestOlsRoundTrip:
         np.testing.assert_array_equal(b, model.b[:, -1:])
         assert np.shares_memory(w, model.b) and np.shares_memory(b, model.b)
 
+    def test_network_block_is_b_itself(self):
+        model = OlsModel(np.arange(8.0).reshape(2, 4))
+        loaded = LoadedModel("ols", _stats("abc", [0, 0, 0], [1, 1, 1]),
+                             _stats("uv", [0, 0], [1, 1]), ols=model)
+        (block,) = loaded.network.blocks
+        assert block is model.b
+
 
 class TestAnnRoundTrip:
     def test_predictions_bit_exact(self, tmp_path):

@@ -15,9 +15,11 @@ from regkit.activations import (
     apply_matrix,
     jacobian_product,
 )
+from regkit.data import NormalizationStats
 from regkit.errors import DivergenceError, ShapeError
 from regkit.initializers import InitializerKind
 from regkit.losses import LOSS_NAMES, LossKind, loss_gradient
+from regkit.model_io import LoadedModel
 from regkit.network import (
     STOP_MAX_EPOCHS,
     STOP_TOLERANCE,
@@ -34,7 +36,8 @@ from regkit.network import (
     predict,
     train,
 )
-from regkit.optimizers import OptimizerKind
+from regkit.ols import OlsModel
+from regkit.optimizers import OPTIMIZER_NAMES, OptimizerKind, fresh_state, optimizer_step
 
 ELEMENTWISE = [name for name in ACTIVATION_NAMES if name != "softmax"]
 
@@ -844,3 +847,84 @@ class TestConfigValidation:
     def test_rejects_nonpositive_units(self):
         with pytest.raises(ValueError):
             LayerSpec(0, ActivationKind("relu"))
+
+
+def _train_by_separate_steps(state, data, config, epochs):
+    """``epochs`` updates with one optimizer state and one step each for
+    the W and the b of every layer, written through the views."""
+    xt, yt, xv, _ = data
+    z0 = np.hstack([xt, xv])
+    moments = [[fresh_state(config.optimizer, param.shape) for param in pair]
+               for pair in zip(state.weights, state.biases)]
+    for _ in range(epochs):
+        grads = _backward_pass(state, forward(state, z0), yt, config.loss)
+        for l, pair in enumerate(grads):
+            for i, (param, grad) in enumerate(zip((state.weights[l], state.biases[l]), pair)):
+                param[...], moments[l][i] = optimizer_step(
+                    config.optimizer, moments[l][i], param, grad)
+
+
+def _same_state(a, b):
+    assert len(a.blocks) == len(b.blocks)
+    for block_a, block_b in zip(a.blocks, b.blocks):
+        _assert_same_bits(block_a, block_b)
+
+
+class TestOneBlockPerLayer:
+    # Layers 1 and 2 have blocks of the same shape, (3, 4).
+    LAYERS = [(3, "swish"), (3, "sigmoid"), (2, "identity")]
+
+    def _data(self, n=3, m=2):
+        rng = np.random.default_rng(37)
+        return (rng.normal(size=(n, 10)), rng.normal(size=(m, 10)),
+                rng.normal(size=(n, 4)), rng.normal(size=(m, 4)))
+
+    def test_weights_and_biases_view_the_blocks_before_and_after_train(self):
+        config = _config(self.LAYERS, optimizer="adam", epochs=3)
+        state = init_network(config, 3)
+        for when in ("before", "after"):
+            assert [b.shape for b in state.blocks] == [(3, 4), (3, 4), (2, 4)], when
+            for block, w, b in zip(state.blocks, state.weights, state.biases):
+                assert np.shares_memory(w, block) and np.shares_memory(b, block), when
+                _assert_same_bits(np.hstack([w, b]), block)
+            train(state, *self._data(), config)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+    def test_one_step_per_block_is_separate_steps_on_w_and_b(self, optimizer):
+        config = _config(self.LAYERS, optimizer=optimizer, epochs=4)
+        state, expected = init_network(config, 3), init_network(config, 3)
+        _, report = train(state, *self._data(), config)
+        assert report.epochs_run == 4
+        _train_by_separate_steps(expected, self._data(), config, 4)
+        _same_state(state, expected)
+
+    def test_state_made_for_another_optimizer_trains(self):
+        config = _config(self.LAYERS, optimizer="adam", epochs=3)
+        state = init_network(_config(self.LAYERS, optimizer="gd"), 3)
+        expected = init_network(config, 3)
+        train(state, *self._data(), config)
+        train(expected, *self._data(), config)
+        _same_state(state, expected)
+
+    def test_network_of_a_loaded_ols_model_trains(self):
+        b = np.random.default_rng(38).normal(size=(2, 4))
+        stats = NormalizationStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        targets = NormalizationStats(("u", "v"), np.zeros(2), np.ones(2))
+        state = LoadedModel("ols", stats, targets, ols=OlsModel(b)).network
+        config = _config([(2, "identity")], optimizer="momentum", epochs=3)
+        expected = init_network(config, 3)
+        expected.weights[0][...], expected.biases[0][...] = b[:, :-1], b[:, -1:]
+        train(state, *self._data(), config)
+        train(expected, *self._data(), config)
+        _same_state(state, expected)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_gradient_names_its_layer(self):
+        config = _config([(1, "identity")], epochs=5)
+        state = init_network(config, 1)
+        state.weights[0][:] = 1e290  # S = 1e300 is finite; grad W = 2e300 * 1e10 is not
+        with pytest.raises(DivergenceError) as info:
+            train(state, np.full((1, 4), 1e10), np.ones((1, 4)), np.full((1, 2), 1e10),
+                  np.ones((1, 2)), config)
+        assert str(info.value) == "epoch 1: layer 1: gradient contains non-finite values"
+        assert info.value.iteration == 1

@@ -800,7 +800,7 @@ class TestPredict:
 def _backprop_gradient(problem, b):
     """``[grad W | grad b]`` of the mse loss of the one-layer identity
     network ``W z + b`` with ``[W b] = B``, from ``_backward_pass``."""
-    state = NetworkState([b[:, :-1]], [b[:, -1:]], (ActivationKind("identity"),))
+    state = NetworkState([b], (ActivationKind("identity"),))
     cache = forward(state, problem.x_design[:, :-1].T)
     (grad_w, grad_b), = _backward_pass(state, cache, problem.y_targets, LossKind("mse"))
     return np.hstack([grad_w, grad_b])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regkit.errors import DivergenceError, ShapeError
 from regkit.optimizers import (
@@ -179,3 +182,19 @@ class TestSteps:
         kind = OptimizerKind("gd")
         with pytest.raises(DivergenceError):
             optimizer_step(kind, fresh_state(kind, (2,)), np.ones(2), np.array([1.0, np.nan]))
+
+
+class TestOneStatePerBlock:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_a_step_on_w_b_is_the_steps_on_w_and_on_b(self, q, n, steps, data):
+        # Every rule is elementwise, so a network layer's block [W b] can
+        # take one step where W and b took one each, and keep their bits.
+        values = arrays(np.float64, (q, n + 1), elements=st.floats(-1e100, 1e100))
+        block = data.draw(values)
+        grads = [data.draw(values) for _ in range(steps)]
+        for name in OPTIMIZER_NAMES:
+            kind = OptimizerKind(name)
+            joined, _ = _step_chain(kind, block, grads)
+            w, _ = _step_chain(kind, block[:, :-1], [g[:, :-1] for g in grads])
+            b, _ = _step_chain(kind, block[:, -1:], [g[:, -1:] for g in grads])
+            assert joined.tobytes() == np.hstack([w, b]).tobytes(), name
