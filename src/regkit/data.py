@@ -1,6 +1,7 @@
 """CSV ingestion, z-score normalization, and train/validation splitting.
 
 CSV files must be UTF-8 with a header row and '.' decimal separators.
+A leading byte-order mark, as Excel's "CSV UTF-8" writes, is skipped.
 Loaded blocks keep one sample per row; the network's column-per-sample
 layout is a transpose away.
 
@@ -77,7 +78,7 @@ def read_columns(path, columns: Sequence[str]) -> np.ndarray:
     # A quote lets the csv module keep commas or line breaks inside a field,
     # which loadtxt would split on.
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             positions = _column_positions(path, reader, columns)
             quoted = reader.line_num != 1 or any(
@@ -115,7 +116,7 @@ def _column_positions(path, reader, columns: list[str]) -> list[int]:
 
 def _read_columns_slow(path, columns: list[str]) -> np.ndarray:
     """``read_columns`` one cell at a time with ``float()``; reports every error."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             rows = _parse_rows(path, reader, columns)

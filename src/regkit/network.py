@@ -1,21 +1,19 @@
 """Dense feedforward networks trained by batch backpropagation.
 
-Data layout: one sample per column, and one parameter block
-``[W_l b_l]`` per layer, the form of OLS's B over ``[X 1]``.  One layer
-loop runs the forward algorithm ``Z_l = f(W_l Z_{l-1} + b_l)``.  Training
-runs its training and validation columns side by side in a single
-``(features, p + s)`` block and caches what the backward pass reads and
-nothing else: each layer's Z and, for an elementwise f other than
-identity, J = f'(S) at the pre-activations ``S = W Z_prev + b``, written
-over S.  Prediction caches nothing and writes each Z over its S.  The
-backward pass sees only the first p (training) columns, so validation
-targets can never influence a gradient; it is the streamlined
-backpropagation ``delta_l = J_l * (W_{l+1}^T delta_{l+1})``.  Training
-allocates the cache's blocks once: every later epoch writes into those
-of the epoch before.  Each hidden layer's delta is written over the
-training columns of that layer's own cached Z, which the weight gradient
-of the layer above has read for the last time; only a softmax hidden
-layer, whose Jacobian product reads Z, has a delta block of its own.
+Data layout: one sample per column, and one parameter block ``[W_l b_l]``
+per layer over an input with a trailing row of ones, the form of OLS's B
+over ``[X 1]``: each layer makes one product forward,
+``S = [W_l b_l] [Z_{l-1}; 1]``, and one backward, the gradient
+``delta_l [Z_{l-1}; 1]^T / p``.  Training runs its training and
+validation columns side by side in one block and caches what the
+backward pass reads and nothing else: each layer's Z and, for an
+elementwise f other than identity, J = f'(S) written over S.  Prediction
+caches nothing and writes each Z over its S.  The backward pass sees only
+the p training columns, so validation targets never influence a gradient:
+``delta_l = J_l * (W_{l+1}^T delta_{l+1})``, written over the training
+columns of layer l's cached Z, which the gradient of the layer above has
+read for the last time (a softmax layer, whose Jacobian product reads Z,
+has a delta block of its own).  Training allocates the cache's blocks once.
 
 Each epoch ends with the validation loss; training stops once the gap
 between successive validation losses falls below the tolerance or the
@@ -114,8 +112,8 @@ class NetworkState:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs: the input block, the
-    activations Z of every layer and their derivatives.
+    """Everything the backward pass needs: the input block ``[Z_0; 1]``,
+    each layer's Z (a hidden one over its ones row) and their derivatives.
 
     ``derivatives`` holds the entrywise derivative f'(S) at the layer's
     pre-activations S for each elementwise activation f, and ``None`` for
@@ -155,7 +153,7 @@ def init_network(config: NetworkConfig, n: int) -> NetworkState:
     return NetworkState(blocks, tuple(spec.activation for spec in config.layer_specs))
 
 
-def _input_block(state: NetworkState, z0) -> np.ndarray:
+def _features(state: NetworkState, z0) -> np.ndarray:
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.ndim != 2:
         raise ShapeError(f"input block must be 2-D, got shape {z0.shape}")
@@ -166,26 +164,34 @@ def _input_block(state: NetworkState, z0) -> np.ndarray:
     return z0
 
 
+def _input_block(state: NetworkState, z0) -> np.ndarray:
+    """``[Z_0; 1]`` in ``z0``'s memory order: predict_rows' ``X^T`` gives ``[X 1]^T``."""
+    z0 = _features(state, z0)
+    block = np.empty_like(z0, shape=(z0.shape[0] + 1, z0.shape[1]))
+    block[:-1], block[-1] = z0, 1.0
+    return block
+
+
 def forward(state: NetworkState, z0, *, out: ForwardCache | None = None) -> ForwardCache:
-    """Run all columns through the network, caching Z and J = f'(S) per layer.
+    """Run all columns of ``z0`` through the network, caching ``[Z_0; 1]``
+    and Z and J = f'(S) per layer.
 
     ``out`` takes a cache an earlier call returned for this network and a
-    block with as many columns; its blocks are overwritten in place and it
-    is returned, holding ``z0`` as its input block.
+    block with as many columns; its blocks, the input block's included,
+    are overwritten in place and it is returned.
     """
-    z = _input_block(state, z0)
     k = len(state.blocks)
     if out is None:
-        out = ForwardCache(z, [None] * k, [None] * k)
+        out = ForwardCache(_input_block(state, z0), [None] * k, [None] * k)
     else:
-        shapes = [(block.shape[0], z.shape[1]) for block in state.blocks]
+        z0 = _features(state, z0)
+        shapes = [(block.shape[0] + (l < k - 1), z0.shape[1])
+                  for l, block in enumerate(state.blocks)]
         if [a.shape for a in out.activations] != shapes:
-            raise ShapeError(
-                f"out holds blocks of shapes {[a.shape for a in out.activations]}, "
-                f"expected {shapes}"
-            )
-        out.z0 = z
-    _run_layers(state, z, out)
+            raise ShapeError(f"out holds blocks of shapes {[a.shape for a in out.activations]}, "
+                             f"expected {shapes}")
+        out.z0[:-1] = z0
+    _run_layers(state, out.z0, out)
     return out
 
 
@@ -197,30 +203,33 @@ def predict(state: NetworkState, features) -> np.ndarray:
 
 
 def _run_layers(state: NetworkState, z: np.ndarray, cache: ForwardCache | None) -> np.ndarray:
-    """The forward pass over the input block ``z``; returns the output Z.
+    """The forward pass over ``z = [Z_0; 1]``; returns the output Z.
 
-    Each layer forms ``S = W Z_prev`` in one product, then adds the bias
-    one row block at a time, checks that the block is finite and applies
-    an elementwise f; softmax runs over the whole block after.  Given a
-    cache, its blocks take S, Z and J; without one, Z is written over S.
+    Each layer forms ``S = [W b] [Z_prev; 1]`` in one product, then checks
+    one row block at a time that S is finite and applies an elementwise
+    f; softmax runs over the q unit rows after.  A hidden Z block gets its
+    ones row when allocated.  Given a cache, its blocks take S, Z and J;
+    without one, Z is written over S.
     """
-    for i, (w, b, act) in enumerate(zip(state.weights, state.biases, state.activations)):
+    last = len(state.blocks) - 1
+    for i, (block, act) in enumerate(zip(state.blocks, state.activations)):
         elementwise = act.name not in ("identity", "softmax")
         keep = cache is not None and elementwise  # J is written over S
-        s = None if cache is None else (cache.derivatives if keep else cache.activations)[i]
-        s = w @ z if s is None else np.matmul(w, z, out=s)
-        z = cache.activations[i] if keep else s
-        if z is None:
-            z = np.empty(s.shape)
+        q = block.shape[0]
+        out = None if cache is None else cache.activations[i]
+        if out is None:
+            out = np.empty((q + (i < last), z.shape[1]))
+            out[q:] = 1.0
+        s = cache.derivatives[i] if keep else out[:q]
+        s = block @ z if s is None else np.matmul(block, z, out=s)
+        z = out
         for rows, *scratch in row_blocks(s, int(elementwise)):
-            block = s[rows]
-            block += b[rows]
-            if not np.isfinite(block).all():
+            if not np.isfinite(s[rows]).all():
                 raise DivergenceError(f"non-finite pre-activations in layer {i + 1}")
             if keep:
-                activate_rows(act, block, z[rows], *scratch)
+                activate_rows(act, s[rows], z[rows], *scratch)
             elif elementwise:
-                apply_rows(act, block, *scratch)
+                apply_rows(act, s[rows], *scratch)
         scratch = None  # else it holds this layer's scratch while the next layer's is made
         if act.name == "softmax":
             softmax_columns(s, out=s)
@@ -231,7 +240,6 @@ def _run_layers(state: NetworkState, z: np.ndarray, cache: ForwardCache | None) 
 
 def batch_validation_loss(cache: ForwardCache, val_targets, loss: LossKind) -> float:
     """Mean loss over the trailing s (validation) columns of the output."""
-    val_targets = np.asarray(val_targets, dtype=np.float64)
     out = cache.activations[-1]
     s = val_targets.shape[1]
     if not 1 <= s <= out.shape[1]:
@@ -259,7 +267,6 @@ def output_delta(
     the loss gradient at the outputs times the output layer's cached
     derivative.  Validation columns are excluded.
     """
-    train_targets = np.asarray(train_targets, dtype=np.float64)
     p = train_targets.shape[1]
     z = cache.activations[-1]
     if p > z.shape[1]:
@@ -286,8 +293,6 @@ def hidden_delta(
     output ``output_r``.  Given ``out``, the product ``W_next^T delta_next``
     is written into it, and so is the result unless the layer is softmax.
     """
-    delta_next = np.asarray(delta_next, dtype=np.float64)
-    w_next = np.asarray(w_next, dtype=np.float64)
     if w_next.shape[0] != delta_next.shape[0]:
         raise ShapeError(
             f"weight shape {w_next.shape} does not consume delta shape {delta_next.shape}"
@@ -296,23 +301,20 @@ def hidden_delta(
     return _times_jacobian(activation_r, derivative_r, output_r, upstream)
 
 
-def layer_gradients(delta_r, z_prev_train) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias gradients of the batch loss for one layer.
-
-    ``grad_w = (1/p) Delta Z_prev^T`` (the average over samples of the
-    outer product of each delta column with its input column) and
-    ``grad_b = (1/p)`` times the row sums of Delta.
+def layer_gradients(delta_r, z_prev_train) -> np.ndarray:
+    """Gradient of the batch loss for one layer's block ``[W b]``: with
+    ``z_prev_train`` the training columns of ``[Z_prev; 1]``, the average
+    over samples of each delta column's outer product with its input
+    column, ``(1/p) Delta [Z_prev; 1]^T``.
     """
-    delta_r = np.asarray(delta_r, dtype=np.float64)
-    z_prev_train = np.asarray(z_prev_train, dtype=np.float64)
     p = delta_r.shape[1]
     if z_prev_train.shape[1] != p:
         raise ShapeError(
             f"delta has {p} columns but previous activations have {z_prev_train.shape[1]}"
         )
-    grad_w = (delta_r @ z_prev_train.T) / p
-    grad_b = delta_r.sum(axis=1, keepdims=True) / p
-    return grad_w, grad_b
+    grad = delta_r @ z_prev_train.T
+    grad /= p
+    return grad
 
 
 def _backward_pass(
@@ -322,20 +324,20 @@ def _backward_pass(
     loss: LossKind,
     *,
     deltas: list[np.ndarray] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients for every layer in layer order (index l-1 for layer l),
-    computed from the output layer down:
+) -> list[np.ndarray]:
+    """Gradients of every block ``[W b]`` in layer order (index l-1 for
+    layer l), computed from the output layer down:
 
         delta_L = loss gradient * J_L
-        grad W_l = delta_l Z_{l-1}^T / p
+        grad [W_l b_l] = delta_l [Z_{l-1}; 1]^T / p
         delta_l = J_l * (W_{l+1}^T delta_{l+1})
 
     ``deltas`` takes one ``(q_l, p)`` block per hidden layer, in layer
     order, to hold delta_l; without it each delta is a new block.  An
     entry may be the training columns of the cache's own Z for that layer
-    (``activations[l-1][:, :p]``), since grad W_{l+1} reads them before
-    delta_l is written, unless the layer is softmax: its Jacobian product
-    reads Z.
+    (``activations[l-1][:-1, :p]``), since grad [W b]_{l+1} reads them
+    before delta_l is written, unless the layer is softmax: its Jacobian
+    product reads Z.
     """
     p = train_targets.shape[1]
     k = len(state.blocks)
@@ -348,10 +350,10 @@ def _backward_pass(
             j = cache.derivatives[l - 1]
             delta = hidden_delta(
                 delta,
-                state.weights[l],
+                state.blocks[l][:, :-1],
                 None if j is None else j[:, :p],
                 state.activations[l - 1],
-                z_prev[:, :p],
+                z_prev[:-1, :p],
                 out=None if deltas is None else deltas[l - 1],
             )
     return grads
@@ -361,7 +363,7 @@ def _delta_blocks(state: NetworkState, cache: ForwardCache, p: int) -> list[np.n
     """The hidden layers' delta blocks for ``train``: each layer's own
     cached Z over the p training columns, or a new block for a softmax
     layer, whose Jacobian product reads Z."""
-    return [np.empty((z.shape[0], p)) if act.name == "softmax" else z[:, :p]
+    return [np.empty((z.shape[0] - 1, p)) if act.name == "softmax" else z[:-1, :p]
             for z, act in zip(cache.activations[:-1], state.activations[:-1])]
 
 
@@ -382,9 +384,10 @@ def train(
     update of every layer's block ``[W b]`` from gradients taken at this
     epoch's pre-update parameters.  Each call starts the optimizer from a
     fresh state.  The state is updated in place and returned with the report.
+    A validation loss that is not finite raises ``DivergenceError``.
     """
-    train_features = _input_block(state, train_features)
-    val_features = _input_block(state, val_features)
+    train_features = _features(state, train_features)
+    val_features = _features(state, val_features)
     train_targets = np.asarray(train_targets, dtype=np.float64)
     val_targets = np.asarray(val_targets, dtype=np.float64)
     p, s = train_features.shape[1], val_features.shape[1]
@@ -400,41 +403,40 @@ def train(
         )
 
     z0 = np.hstack([train_features, val_features])
-    theta_prev = MAX_FLOAT  # sentinel: the first gap can never undercut the tolerance
-    gap = MAX_FLOAT
+    theta_prev = gap = MAX_FLOAT  # sentinel: the first gap can never undercut the tolerance
     losses: list[float] = []
-    epochs = 0
     cache = deltas = None
     moments = [fresh_state(config.optimizer, block.shape) for block in state.blocks]
 
-    while gap > config.tolerance and epochs < config.max_epochs:
-        epoch = epochs + 1
+    for epoch in range(1, config.max_epochs + 1):
         try:
             cache = forward(state, z0, out=cache)
+            z0 = cache.z0[:-1]  # later epochs pass the cache's own rows; the hstack is freed
             if deltas is None:
                 deltas = _delta_blocks(state, cache, p)
             theta = batch_validation_loss(cache, val_targets, config.loss)
+            if not np.isfinite(theta):
+                raise DivergenceError("validation loss is not finite")
             losses.append(theta)
             gap = abs(theta - theta_prev)
             if gap >= config.tolerance:
                 grads = _backward_pass(state, cache, train_targets, config.loss,
                                        deltas=deltas)
                 for l in range(len(state.blocks) - 1, -1, -1):
-                    try:  # popping frees layer l's gradients before its step
+                    try:  # popping frees each gradient once its step is taken
                         state.blocks[l], moments[l] = optimizer_step(
-                            config.optimizer, moments[l], state.blocks[l],
-                            np.hstack(grads.pop()))
+                            config.optimizer, moments[l], state.blocks[l], grads.pop())
                     except DivergenceError as exc:
                         raise DivergenceError(f"layer {l + 1}: {exc}") from None
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}", iteration=epoch) from None
         theta_prev = theta
-        epochs += 1
         state.epoch += 1
+        if gap <= config.tolerance:
+            break
 
     reason = STOP_TOLERANCE if gap <= config.tolerance else STOP_MAX_EPOCHS
-    report = TrainReport(tuple(losses), reason, epochs, gap)
-    return state, report
+    return state, TrainReport(tuple(losses), reason, len(losses), gap)
 
 
 def gradient_check(seed: int, n_configs: int = 50, step: float = 1e-5) -> float:
@@ -477,10 +479,7 @@ def gradient_check(seed: int, n_configs: int = 50, step: float = 1e-5) -> float:
             return float(np.mean(column_losses(config.loss, predict(state, features), targets)))
 
         for block, grad in zip(state.blocks, grads):
-            grad = np.hstack(grad)
-            it = np.nditer(block, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
+            for idx in np.ndindex(block.shape):
                 saved = block[idx]
                 block[idx] = saved + step
                 up = batch_loss()

@@ -11,7 +11,9 @@ Regenerate the table (and the expected files) from the root of a checkout:
     PYTHONPATH=src python tests/golden.py
 
 A change that moves any of these bytes on purpose regenerates the table
-and names each changed file in CHANGES.md.
+and names each changed file in CHANGES.md.  Regenerating prints each
+output file whose SHA-256 changed, with the normwise relative change of
+its values, and the rows that kept every byte.
 """
 
 from __future__ import annotations
@@ -178,14 +180,50 @@ def write_inputs() -> None:
     (GOLDEN / "train_pos.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def moved(old_rows: list[dict], results: list[dict], workdir: Path) -> list[str]:
+    """What a regeneration moves, as report lines: each output file whose
+    SHA-256 differs from the replaced table's, with the normwise relative
+    change of its decoded values against the stored file, then the rows
+    whose stdout and output files all kept their bytes."""
+    old_rows = {row["name"]: row for row in old_rows}
+    lines, kept = [], []
+    for row in results:
+        old = old_rows.get(row["name"])
+        if old is None:
+            lines.append(f"{row['name']}: new row")
+            continue
+        same = sha256(row["stdout"].encode("utf-8")) == old["stdout_sha256"]
+        if not same:
+            lines.append(f"{row['name']}: stdout changed")
+        for name in row["outputs"]:
+            data = (workdir / name).read_bytes()
+            if sha256(data) == old["outputs"].get(name):
+                continue
+            same = False
+            layout, values = decode(name, data)
+            old_layout, old_values = decode(name, (EXPECTED / name).read_bytes())
+            if layout != old_layout:
+                lines.append(f"{name}: layout changed")
+            else:
+                change = np.linalg.norm(values - old_values) / np.linalg.norm(old_values)
+                lines.append(f"{name}: normwise relative change {change:.2g}")
+        if same:
+            kept.append(row["name"])
+    return lines + [f"kept their bytes: {', '.join(kept) or 'none'}"]
+
+
 def main() -> int:
-    """Write the inputs if they are missing, then run every row and write
-    the expected files and the table."""
+    """Write the inputs if they are missing, then run every row, print what
+    moved against the table it replaces, and write the expected files and
+    the table."""
     if not all((GOLDEN / name).exists() for name in INPUTS):
         write_inputs()
+    old_rows = json.loads(TABLE.read_text(encoding="utf-8"))["rows"] if TABLE.exists() else []
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
         results = run_rows(workdir)
+        for line in moved(old_rows, results, workdir):
+            print(line)
         shutil.rmtree(EXPECTED, ignore_errors=True)
         EXPECTED.mkdir()
         for row in results:

@@ -109,8 +109,8 @@ def batch_loss(state, loss_kind, features, targets):
 def numeric_network_gradients(state, loss_kind, features, targets, h=1e-5):
     """Finite-difference gradients of the batch loss for every block.
 
-    Returns a list of (grad_w, grad_b) pairs in layer order, computed by
-    perturbing each weight and bias entry by +-h.
+    Returns one ``[grad_w grad_b]`` block per layer, in layer order,
+    computed by perturbing each weight and bias entry by +-h.
     """
     grads = []
     for layer in range(len(state.weights)):
@@ -128,7 +128,7 @@ def numeric_network_gradients(state, loss_kind, features, targets, h=1e-5):
                 block[idx] = saved
                 grad[idx] = (up - down) / (2.0 * h)
             pair.append(grad)
-        grads.append(tuple(pair))
+        grads.append(np.hstack(pair))
     return grads
 
 

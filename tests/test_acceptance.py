@@ -153,9 +153,8 @@ def test_a5_gradient_check_suite():
         cache = forward(state, features)
         analytic = _backward_pass(state, cache, targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
-            worst = max(worst, float(gradient_errors(aw, nw).max()))
-            worst = max(worst, float(gradient_errors(ab, nb).max()))
+        for got, want in zip(analytic, numeric):
+            worst = max(worst, float(gradient_errors(got, want).max()))
     elapsed = time.perf_counter() - start
     _report(
         "A5 gradient-check-suite",
@@ -329,10 +328,7 @@ def test_a10_validation_isolation():
     theta_mutated = batch_validation_loss(cache, mutated, config.loss)
     grads_mutated = _backward_pass(state, cache, train_t, config.loss)
 
-    bit_identical = all(
-        np.array_equal(gw0, gw1) and np.array_equal(gb0, gb1)
-        for (gw0, gb0), (gw1, gb1) in zip(grads, grads_mutated)
-    )
+    bit_identical = all(np.array_equal(g0, g1) for g0, g1 in zip(grads, grads_mutated))
     _report(
         "A10 validation-isolation",
         theta != theta_mutated and bit_identical,

@@ -352,6 +352,37 @@ class TestOutOfMemory:
         assert list(tmp_path.iterdir()) == [data]
 
 
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.  The
+    # unquoted file is read by the loadtxt pass, the quoted one line by line.
+    BOM = b"\xef\xbb\xbf"
+    ROWS = "0,0,1\n1,0,3\n0,1,2\n1,1,4\n2,1,6\n"  # y = 1 + 2a + b
+
+    @pytest.mark.parametrize("header", ["a,b,y", '"a",b,y'])
+    def test_ols_fit_reads_the_first_column(self, tmp_path, capsys, header):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(self.BOM + f"{header}\n{self.ROWS}".encode("utf-8"))
+        out = tmp_path / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "a,b",
+                         "--targets", "y", "--out", str(out)]) == 0, capsys.readouterr().err
+        np.testing.assert_allclose(predict_rows(load_model(out), [[3.0, 2.0]]), [[9.0]])
+
+    @pytest.mark.parametrize("header", ["a,b", '"a",b'])
+    def test_predict_reads_the_first_column(self, tmp_path, capsys, header):
+        data = tmp_path / "train.csv"
+        data.write_text(f"a,b,y\n{self.ROWS}", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "a,b",
+                         "--targets", "y", "--out", str(model)]) == 0
+        query = tmp_path / "query.csv"
+        query.write_bytes(self.BOM + f"{header}\n3,2\n0,0\n".encode("utf-8"))
+        out = tmp_path / "pred.csv"
+        assert cli_main(["predict", "--model", str(model), "--data", str(query),
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+        _, values = _read_predictions(out)
+        np.testing.assert_allclose(values, [[9.0], [1.0]], atol=1e-9)
+
+
 class TestPredictCommand:
     def test_round_trips_normalization(self, tmp_path):
         data = _write_line_csv(tmp_path)

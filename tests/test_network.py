@@ -94,8 +94,10 @@ class TestForward:
         for w in state.weights:
             w[:] = 0.0
         cache = forward(state, np.random.default_rng(0).normal(size=(2, 6)))
-        for z in cache.activations:
-            np.testing.assert_array_equal(z, np.zeros_like(z))
+        # Each hidden Z block ends with the ones row the next product reads.
+        hidden, out = cache.activations
+        np.testing.assert_array_equal(hidden, [[0.0] * 6] * 3 + [[1.0] * 6])
+        np.testing.assert_array_equal(out, np.zeros((2, 6)))
 
     def test_single_identity_layer_is_affine(self):
         state = init_network(_config([(1, "identity")]), 2)
@@ -116,10 +118,9 @@ class TestForward:
         cache = forward(state, np.random.default_rng(1).normal(scale=3.0, size=(2, 6)))
         kind = ActivationKind(name)
         z_prev = cache.z0
-        for w, b, z, j in zip(state.weights, state.biases, cache.activations,
-                              cache.derivatives):
-            s = w @ z_prev + b
-            _assert_same_bits(z, apply_matrix(kind, s))
+        for block, z, j in zip(state.blocks, cache.activations, cache.derivatives):
+            s = block @ z_prev
+            _assert_same_bits(z[:block.shape[0]], apply_matrix(kind, s))
             if name in ("identity", "softmax"):
                 assert j is None
             else:
@@ -250,10 +251,15 @@ class TestPredict:
             predict(state, np.ones((1, self.COLS)))
 
 
+def _with_ones(z):
+    """``[Z; 1]``."""
+    return np.vstack([z, np.ones((1, z.shape[1]))])
+
+
 def _reference_predict(state, z):
-    """Layer by layer ``apply_matrix(f, W Z_prev + b)`` over whole blocks."""
-    for w, b, act in zip(state.weights, state.biases, state.activations):
-        z = apply_matrix(act, w @ z + b)
+    """Layer by layer ``apply_matrix(f, [W b] [Z_prev; 1])`` over whole blocks."""
+    for block, act in zip(state.blocks, state.activations):
+        z = apply_matrix(act, block @ _with_ones(z))
     return z
 
 
@@ -283,6 +289,52 @@ class TestOneLayerLoop:
                 assert got is None
             else:
                 _assert_same_bits(got, want)
+
+
+def _gamma(k, dtype):
+    """Higham's ``gamma_k = k u / (1 - k u)`` for the unit roundoff u of ``dtype``."""
+    u = np.finfo(dtype).eps / 2
+    return k * u / (1 - k * u)
+
+
+class TestOneProductError:
+    @given(n=st.integers(1, 8),
+           widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           cols=st.integers(1, 9),
+           cancel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_entry_of_s_is_within_gamma_of_a_longdouble_reference(self, n, widths, cols,
+                                                                        cancel, seed):
+        # Each entry of S = [W b] [Z; 1] is a dot product of length k = n + 1,
+        # so it lies within gamma_k (|W| |Z| + |b|) of the exact value (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1)
+        # in any summation order.  The reference adds its own gamma_k in
+        # np.longdouble, which is no wider than float64 on some platforms.
+        # Identity layers leave each S in the cache.  Entries span six decades
+        # and both signs; with ``cancel`` layer 1's bias cancels its product
+        # in column 0, so S there is tiny against |W| |Z| + |b|.
+        rng = np.random.default_rng(seed)
+        state = init_network(_config([(q, "identity") for q in widths]), n)
+
+        def draw(shape):
+            return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+        for block in state.blocks:
+            block[...] = draw(block.shape)
+        x = draw((n, cols))
+        if cancel:
+            exact = state.blocks[0][:, :-1].astype(np.longdouble) @ x[:, 0].astype(np.longdouble)
+            state.blocks[0][:, -1] = -exact.astype(np.float64)
+        cache = forward(state, x)
+        z = cache.z0
+        for block, out in zip(state.blocks, cache.activations):
+            q, k = block.shape
+            np.testing.assert_array_equal(z[-1], 1.0)
+            exact = block.astype(np.longdouble) @ z.astype(np.longdouble)
+            scale = np.abs(block).astype(np.longdouble) @ np.abs(z).astype(np.longdouble)
+            bound = (_gamma(k, np.float64) + _gamma(k, np.longdouble)) * scale
+            assert (np.abs(out[:q] - exact) <= bound).all()
+            z = out
 
 
 class TestValidationLoss:
@@ -356,25 +408,25 @@ class TestDeltas:
 
 
 class TestLayerGradients:
+    # layer_gradients takes the training columns of [Z_prev; 1] and returns
+    # the gradient of [W b], whose last column is the bias gradient.
     def test_zero_delta_zero_gradients(self):
-        gw, gb = layer_gradients(np.zeros((3, 5)), np.ones((2, 5)))
-        np.testing.assert_array_equal(gw, np.zeros((3, 2)))
-        np.testing.assert_array_equal(gb, np.zeros((3, 1)))
+        grad = layer_gradients(np.zeros((3, 5)), np.ones((3, 5)))
+        np.testing.assert_array_equal(grad, np.zeros((3, 3)))
 
     def test_single_sample_is_outer_product(self):
         rng = np.random.default_rng(7)
         delta = rng.normal(size=(3, 1))
         z_prev = rng.normal(size=(2, 1))
-        gw, gb = layer_gradients(delta, z_prev)
-        np.testing.assert_allclose(gw, delta @ z_prev.T)
-        np.testing.assert_allclose(gb, delta)
+        grad = layer_gradients(delta, _with_ones(z_prev))
+        np.testing.assert_allclose(grad[:, :-1], delta @ z_prev.T)
+        np.testing.assert_allclose(grad[:, -1:], delta)
 
     def test_average_over_samples(self):
         delta = np.array([[1.0, 3.0]])
         z_prev = np.array([[2.0, 4.0]])
-        gw, gb = layer_gradients(delta, z_prev)
-        np.testing.assert_allclose(gw, [[(1 * 2 + 3 * 4) / 2]])
-        np.testing.assert_allclose(gb, [[2.0]])
+        grad = layer_gradients(delta, _with_ones(z_prev))
+        np.testing.assert_allclose(grad, [[(1 * 2 + 3 * 4) / 2, 2.0]])
 
     def test_column_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -399,9 +451,8 @@ class TestGradientsAgainstFiniteDifferences:
         cache = forward(state, features)
         analytic = _backward_pass(state, cache, targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
-            assert gradient_errors(aw, nw).max() <= 1e-4
-            assert gradient_errors(ab, nb).max() <= 1e-4
+        for got, want in zip(analytic, numeric):
+            assert gradient_errors(got, want).max() <= 1e-4
 
     def test_softmax_hidden_layer(self):
         rng = np.random.default_rng(100)
@@ -412,9 +463,8 @@ class TestGradientsAgainstFiniteDifferences:
         cache = forward(state, features)
         analytic = _backward_pass(state, cache, targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
-            assert gradient_errors(aw, nw).max() <= 1e-4
-            assert gradient_errors(ab, nb).max() <= 1e-4
+        for got, want in zip(analytic, numeric):
+            assert gradient_errors(got, want).max() <= 1e-4
 
     def test_softmax_output_layer(self):
         rng = np.random.default_rng(101)
@@ -425,9 +475,8 @@ class TestGradientsAgainstFiniteDifferences:
         cache = forward(state, features)
         analytic = _backward_pass(state, cache, targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
-            assert gradient_errors(aw, nw).max() <= 1e-4
-            assert gradient_errors(ab, nb).max() <= 1e-4
+        for got, want in zip(analytic, numeric):
+            assert gradient_errors(got, want).max() <= 1e-4
 
     @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
            kinds=st.lists(st.sampled_from(ELEMENTWISE), min_size=3, max_size=3),
@@ -454,9 +503,8 @@ class TestGradientsAgainstFiniteDifferences:
         targets = rng.uniform(0.2, 1.5, (widths[-1], p))  # inside every loss's domain
         analytic = _backward_pass(state, forward(state, features), targets, config.loss)
         numeric = numeric_network_gradients(state, config.loss, features, targets)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
-            assert gradient_errors(aw, nw).max() <= 1e-4
-            assert gradient_errors(ab, nb).max() <= 1e-4
+        for got, want in zip(analytic, numeric):
+            assert gradient_errors(got, want).max() <= 1e-4
 
     def test_gradient_check_entry_point(self):
         assert gradient_check(seed=0, n_configs=5) <= 1e-4
@@ -481,9 +529,8 @@ class TestValidationIsolation:
         new_grads = _backward_pass(state, cache, train_t, config.loss)
 
         assert new_loss != base_loss
-        for (gw0, gb0), (gw1, gb1) in zip(base_grads, new_grads):
-            np.testing.assert_array_equal(gw0, gw1)
-            np.testing.assert_array_equal(gb0, gb1)
+        for g0, g1 in zip(base_grads, new_grads):
+            np.testing.assert_array_equal(g0, g1)
 
 
 def _assert_same_bits(actual, expected):
@@ -492,19 +539,18 @@ def _assert_same_bits(actual, expected):
 
 def _reference_gradients(state, z0, targets, loss):
     """Backprop through the public ``jacobian_product`` at pre-activations
-    recomputed here as ``W Z_prev + b``, with Z from ``apply_matrix``."""
+    recomputed here as ``[W b] [Z_prev; 1]``, with Z from ``apply_matrix``."""
     p = targets.shape[1]
     acts = state.activations
-    pre, outs = [], [z0]
-    for w, b, act in zip(state.weights, state.biases, acts):
-        pre.append(w @ outs[-1] + b)
-        outs.append(apply_matrix(act, pre[-1]))
-    grad = loss_gradient(loss, outs[-1][:, :p], targets)
+    pre, outs = [], [_with_ones(z0)]
+    for block, act in zip(state.blocks, acts):
+        pre.append(block @ outs[-1])
+        outs.append(_with_ones(apply_matrix(act, pre[-1])))
+    grad = loss_gradient(loss, outs[-1][:-1, :p], targets)
     delta = jacobian_product(acts[-1], pre[-1][:, :p], grad)
     grads = [None] * len(acts)
     for l in range(len(acts) - 1, -1, -1):
-        z_prev = outs[l][:, :p]
-        grads[l] = ((delta @ z_prev.T) / p, delta.sum(axis=1, keepdims=True) / p)
+        grads[l] = (delta @ outs[l][:, :p].T) / p
         if l:
             upstream = state.weights[l].T @ delta
             delta = jacobian_product(acts[l - 1], pre[l - 1][:, :p], upstream)
@@ -525,9 +571,8 @@ class TestCachedBackwardPass:
         for grads in (_backward_pass(state, cache, targets, config.loss),
                       _backward_pass(state, cache, targets, config.loss, deltas=deltas),
                       _backward_pass(state, cache, targets, config.loss, deltas=deltas)):
-            for (gw, gb), (ew, eb) in zip(grads, expected):
-                _assert_same_bits(gw, ew)
-                _assert_same_bits(gb, eb)
+            for got, want in zip(grads, expected):
+                _assert_same_bits(got, want)
 
     @pytest.mark.parametrize("layers", [
         *([(5, name), (4, name), (3, name)] for name in ACTIVATION_NAMES),
@@ -549,9 +594,8 @@ class TestCachedBackwardPass:
         for _ in range(2):  # a second epoch reuses the cache and its delta views
             forward(state, z0, out=cache)
             grads = _backward_pass(state, cache, targets, config.loss, deltas=deltas)
-            for (gw, gb), (ew, eb) in zip(grads, expected):
-                _assert_same_bits(gw, ew)
-                _assert_same_bits(gb, eb)
+            for got, want in zip(grads, expected):
+                _assert_same_bits(got, want)
 
     def test_only_elementwise_kinds_cache_a_derivative(self):
         config = _config([(3, "swish"), (3, "relu"), (2, "softmax"), (2, "sigmoid"),
@@ -598,7 +642,8 @@ class TestReusedForwardBlocks:
         z0 = rng.normal(scale=3.0, size=(3, 9))
         fresh = forward(state, z0)
         again = forward(state, z0, out=prev)
-        assert again is prev and again.z0 is fresh.z0
+        assert again is prev
+        _assert_same_bits(again.z0, _with_ones(z0))
         assert [[id(b) for b in group] for group in blocks] == ids
         for got, want in zip(blocks, [fresh.activations, fresh.derivatives]):
             for g, w in zip(got, want):
@@ -687,7 +732,8 @@ class TestTrainingMemory:
         held = [[b for b in pair if b is not None]
                 for pair in zip(cache.activations, cache.derivatives)]
         assert [len(blocks) for blocks in held] == [2, 2, 1]
-        assert sum(b.nbytes for blocks in held for b in blocks) == (4 * 64 + 1) * 2000 * 8
+        # Both hidden Z blocks carry a ones row.
+        assert sum(b.nbytes for blocks in held for b in blocks) == (4 * 64 + 3) * 2000 * 8
 
     def _train_peak(self, epochs):
         config = _config(self.LAYERS, optimizer="adam", epochs=epochs)
@@ -816,6 +862,19 @@ class TestTrain:
                   np.ones((1, 2)), config)
         assert info.value.iteration == 1
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_non_finite_validation_loss_raises(self, target):
+        # A NaN loss made every gap comparison false, and two inf losses a NaN
+        # gap: either way training stopped with "max-epochs" and no error.
+        rng = np.random.default_rng(16)
+        config = _config([(3, "swish"), (1, "identity")], optimizer="adam", epochs=5)
+        state = init_network(config, 2)
+        with pytest.raises(DivergenceError,
+                           match="^epoch 1: validation loss is not finite$") as info:
+            train(state, rng.normal(size=(2, 6)), rng.normal(size=(1, 6)),
+                  rng.normal(size=(2, 1)), [[target]], config)
+        assert info.value.iteration == 1
+
     def test_one_layer_identity_follows_ols_descent_direction(self):
         # A 1-layer identity network with mse takes gradients proportional
         # to the least-squares gradient 2 (B Z - Y X): factor 1/(p m).
@@ -827,8 +886,7 @@ class TestTrain:
         targets = rng.normal(size=(m, p))
 
         cache = forward(state, features)
-        (grad_w, grad_b), = _backward_pass(state, cache, targets, config.loss)
-        network_grad = np.hstack([grad_w, grad_b])
+        network_grad, = _backward_pass(state, cache, targets, config.loss)
 
         design = np.hstack([features.T, np.ones((p, 1))])  # p x (n+1)
         b_full = np.hstack([state.weights[0], state.biases[0]])  # m x (n+1)
@@ -858,7 +916,8 @@ def _train_by_separate_steps(state, data, config, epochs):
                for pair in zip(state.weights, state.biases)]
     for _ in range(epochs):
         grads = _backward_pass(state, forward(state, z0), yt, config.loss)
-        for l, pair in enumerate(grads):
+        for l, block in enumerate(grads):
+            pair = block[:, :-1], block[:, -1:]
             for i, (param, grad) in enumerate(zip((state.weights[l], state.biases[l]), pair)):
                 param[...], moments[l][i] = optimizer_step(
                     config.optimizer, moments[l][i], param, grad)
@@ -922,9 +981,10 @@ class TestOneBlockPerLayer:
     def test_non_finite_gradient_names_its_layer(self):
         config = _config([(1, "identity")], epochs=5)
         state = init_network(config, 1)
-        state.weights[0][:] = 1e290  # S = 1e300 is finite; grad W = 2e300 * 1e10 is not
+        # S = 1e153 and the validation loss are finite; grad W = 2e153 * 1e160 is not.
+        state.weights[0][:] = 1e-7
         with pytest.raises(DivergenceError) as info:
-            train(state, np.full((1, 4), 1e10), np.ones((1, 4)), np.full((1, 2), 1e10),
+            train(state, np.full((1, 4), 1e160), np.ones((1, 4)), np.ones((1, 2)),
                   np.ones((1, 2)), config)
         assert str(info.value) == "epoch 1: layer 1: gradient contains non-finite values"
         assert info.value.iteration == 1

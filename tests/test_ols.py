@@ -802,8 +802,8 @@ def _backprop_gradient(problem, b):
     network ``W z + b`` with ``[W b] = B``, from ``_backward_pass``."""
     state = NetworkState([b], (ActivationKind("identity"),))
     cache = forward(state, problem.x_design[:, :-1].T)
-    (grad_w, grad_b), = _backward_pass(state, cache, problem.y_targets, LossKind("mse"))
-    return np.hstack([grad_w, grad_b])
+    grad, = _backward_pass(state, cache, problem.y_targets, LossKind("mse"))
+    return grad
 
 
 class TestOlsAsOneLayerNetwork:
