@@ -93,55 +93,6 @@ def _denominator(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    d = _denominator(x, np.empty(x.shape))
-    return np.divide(1.0, d, out=d)
-
-
-def _apply_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
-    name, beta = kind.name, kind.beta
-    if name == "sigmoid":
-        return _sigmoid(x)
-    if name == "relu":
-        return np.maximum(0.0, x)
-    if name in ("leaky_relu", "prelu"):
-        return np.where(x > 0, x, beta * x)
-    if name == "elu":
-        out = np.array(x, dtype=np.float64)
-        neg = x <= 0
-        out[neg] = beta * np.expm1(x[neg])
-        return out
-    if name == "swish":
-        d = _denominator(x, np.empty(x.shape))
-        return np.divide(x, d, out=d)
-    if name == "identity":
-        return np.array(x, dtype=np.float64)
-    raise ValueError(f"{name} has no elementwise form")
-
-
-def _derivative_elementwise(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
-    # At the relu-family kink (x = 0) the left-hand value is returned.
-    name, beta = kind.name, kind.beta
-    if name == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if name == "relu":
-        return (x > 0).astype(np.float64)
-    if name in ("leaky_relu", "prelu"):
-        return np.where(x > 0, 1.0, beta)
-    if name == "elu":
-        out = np.ones_like(x)
-        neg = x <= 0
-        out[neg] = beta * np.exp(x[neg])
-        return out
-    if name == "swish":
-        d = _denominator(x, np.empty(x.shape))
-        return (x - x / d + 1.0) / d
-    if name == "identity":
-        return np.ones_like(x)
-    raise ValueError(f"{name} has no elementwise derivative")
-
-
 def softmax_columns(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of each column of ``a``, written into ``out`` (which may be
     ``a`` itself) when given."""
@@ -157,7 +108,9 @@ def apply_matrix(kind: ActivationKind, a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if kind.name == "softmax":
         return softmax_columns(a)
-    return _apply_elementwise(kind, a)
+    z = a.copy()
+    apply_rows(kind, z, np.empty(z.shape))
+    return z
 
 
 def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarray:
@@ -175,7 +128,9 @@ def jacobian_product(kind: ActivationKind, preactivations, upstream) -> np.ndarr
         )
     if kind.name == "softmax":
         return softmax_jacobian_product(softmax_columns(preactivations), upstream)
-    return _derivative_elementwise(kind, preactivations) * upstream
+    j = preactivations.copy()
+    activate_rows(kind, j, np.empty(j.shape), np.empty(j.shape))
+    return np.multiply(j, upstream, out=j)
 
 
 def softmax_jacobian_product(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -184,40 +139,67 @@ def softmax_jacobian_product(s: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return s * (upstream - (s * upstream).sum(axis=0, keepdims=True))
 
 
-def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
-    """Write ``apply_matrix(kind, s)`` into ``z`` and the derivative
-    ``_derivative_elementwise(kind, s)`` over ``s``, bit for bit, for an
-    elementwise kind other than identity.
+def _value_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
+    """Write f(s) into ``z``, which may be ``s`` itself, for an elementwise
+    kind; ``e`` is a scratch block of ``s``'s shape.
 
-    ``e`` is a scratch block of ``s``'s shape.  Sigmoid and swish evaluate
-    one exponential per entry for both: with ``d = 1 + exp(-s)``, a sigmoid
-    layer's z is ``1 / d`` and its derivative ``(1 - z) z``; a swish layer's
-    z is ``s / d`` and its derivative ``sigmoid (1 + s - z)``, taken as
-    ``(s - z + 1) / d``.
+    Sigmoid and swish leave their denominator ``d = 1 + exp(-s)`` in ``e``.
+    relu(-0) is -0; leaky_relu, prelu and elu scale s only where s <= 0.
     """
-    if kind.name == "sigmoid":
+    name, beta = kind.name, kind.beta
+    if name == "sigmoid":
         np.divide(1.0, _denominator(s, e), out=z)
+    elif name == "swish":
+        np.divide(s, _denominator(s, e), out=z)
+    elif name == "relu":
+        np.maximum(0.0, s, out=z)
+    elif name == "identity":
+        np.copyto(z, s)
+    elif name in ("leaky_relu", "prelu", "elu"):
+        np.copyto(z, s)
+        neg = z <= 0
+        if name == "elu":
+            np.expm1(z, out=z, where=neg)
+        np.multiply(z, beta, out=z, where=neg)
+    else:
+        raise ValueError(f"{name} has no elementwise form")
+
+
+def activate_rows(kind: ActivationKind, s: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
+    """Write f(s) into ``z`` and f'(s) over ``s``, for an elementwise kind;
+    ``e`` is a scratch block of ``s``'s shape.
+
+    Sigmoid and swish evaluate one exponential per entry for both: with
+    ``d = 1 + exp(-s)``, a sigmoid layer's z is ``1 / d`` and its derivative
+    ``(1 - z) z``; a swish layer's z is ``s / d`` and its derivative
+    ``sigmoid (1 + s - z)``, taken as ``(s - z + 1) / d``.  At the
+    relu-family kink (s = 0) the derivative takes its left-hand value.
+    """
+    _value_rows(kind, s, z, e)
+    name, beta = kind.name, kind.beta
+    if name == "sigmoid":
         np.subtract(1.0, z, out=s)
         s *= z
-    elif kind.name == "swish":
-        np.divide(s, _denominator(s, e), out=z)
+    elif name == "swish":
         s -= z
         s += 1.0
         s /= e
+    elif name == "relu":
+        np.greater(s, 0.0, out=s)
+    elif name in ("leaky_relu", "prelu"):
+        pos = s > 0
+        s[...] = beta
+        s[pos] = 1.0
+    elif name == "elu":
+        neg = s <= 0
+        np.exp(s, out=s, where=neg)
+        np.multiply(s, beta, out=s, where=neg)
+        s[~neg] = 1.0
     else:
-        z[...] = _apply_elementwise(kind, s)
-        s[...] = _derivative_elementwise(kind, s)
+        s[...] = 1.0
 
 
 def apply_rows(kind: ActivationKind, s: np.ndarray, e: np.ndarray) -> None:
-    """Write ``apply_matrix(kind, s)`` over ``s``, bit for bit, for an
-    elementwise kind other than identity.
-
-    ``e`` is a scratch block of ``s``'s shape; only sigmoid and swish use it.
-    """
-    if kind.name == "sigmoid":
-        np.divide(1.0, _denominator(s, e), out=s)
-    elif kind.name == "swish":
-        s /= _denominator(s, e)
-    else:
-        s[...] = _apply_elementwise(kind, s)
+    """Write f(s) over ``s`` for an elementwise kind; ``e`` is a scratch
+    block of ``s``'s shape."""
+    _value_rows(kind, s, s, e)

@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .initializers import parse_initializer
-from .losses import parse_loss
+from .losses import check_target_rows, parse_loss
 from .model_io import load_model, predict_rows, replacing_writer, save_model
 from .network import LayerSpec, NetworkConfig, gradient_check, init_network, train
 from .ols import GdConfig, build_problem, solve_analytic, solve_gd
@@ -224,6 +224,7 @@ def _run_ann_train(args) -> int:
     if config.loss.name in ("msle", "poisson"):
         # Z-scores would push the targets out of these losses' domains (> -1
         # and > 0).  With unit stats, predict's denormalization is the identity.
+        check_target_rows(config.loss, targets, schema.target_columns)
         m = len(schema.target_columns)
         tstats = NormalizationStats(schema.target_columns, [0.0] * m, [1.0] * m)
     else:

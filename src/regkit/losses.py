@@ -51,20 +51,31 @@ def _first_offender(bad: np.ndarray, which: str, values: np.ndarray, why: str) -
     return f"{why}: {which}[{where}] = {float(values[tuple(pos)])!r}"
 
 
+# Each restricted loss: the bound at or below which an entry leaves its
+# domain, the message, and what the bound holds.
+_DOMAINS = {"msle": (-1.0, "msle needs entries > -1", ("prediction", "target")),
+            "poisson": (0.0, "poisson needs targets > 0", ("target",))}
+
+
 def _check_domain(kind: LossKind, prediction: np.ndarray, target: np.ndarray) -> None:
-    if kind.name == "msle":
+    if kind.name in _DOMAINS:
+        floor, why, checked = _DOMAINS[kind.name]
         for which, values in (("prediction", prediction), ("target", target)):
-            bad = values <= -1.0
-            if bad.any():
-                raise DomainError(
-                    _first_offender(bad, which, values, "msle needs entries > -1")
-                )
-    elif kind.name == "poisson":
-        bad = target <= 0.0
-        if bad.any():
-            raise DomainError(
-                _first_offender(bad, "target", target, "poisson needs targets > 0")
-            )
+            if which in checked and (bad := values <= floor).any():
+                raise DomainError(_first_offender(bad, which, values, why))
+
+
+def check_target_rows(kind: LossKind, targets: np.ndarray, columns) -> None:
+    """Raise DomainError naming the first data row (counted from 1) and the
+    column of a target outside ``kind``'s domain; ``targets`` holds one
+    sample per row, in file order, and ``columns`` names its columns."""
+    if kind.name in _DOMAINS:
+        floor, why, _ = _DOMAINS[kind.name]
+        bad = np.argwhere(targets <= floor)
+        if bad.size:
+            row, col = bad[0]
+            value = float(targets[row, col])
+            raise DomainError(f"{why}: data row {row + 1}, column {columns[col]!r} = {value!r}")
 
 
 def _log_cosh(r: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def _negative_slope(s, beta):
 
 
 # Each takes the pre-activations and the kind's beta (None for kinds without one).
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "identity": lambda s, beta: s,
     "sigmoid": lambda s, beta: _logistic(s),
     "swish": lambda s, beta: s * _logistic(s),
@@ -95,7 +95,7 @@ def network_outputs(state, features):
     """The network's outputs for feature columns, one sample per column."""
     z = np.asarray(features, dtype=np.float64)
     for w, b, kind in zip(state.weights, state.biases, state.activations):
-        z = _ACTIVATIONS[kind.name](w @ z + b, kind.beta)
+        z = ACTIVATIONS[kind.name](w @ z + b, kind.beta)
     return z
 
 

@@ -7,14 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import central_diff, softmax_jacobians
+from oracles import ACTIVATIONS, central_diff, softmax_jacobians
 from regkit.activations import (
     _BLOCK_BYTES,
     ACTIVATION_NAMES,
     ActivationKind,
-    _apply_elementwise,
-    _derivative_elementwise,
-    _sigmoid,
     activate_rows,
     apply_matrix,
     apply_rows,
@@ -33,10 +30,20 @@ def _value(kind, x):
 
 
 def _slope(kind, x):
-    """An elementwise activation's derivative at one point: its Jacobian
-    product with a unit upstream, which is ``_derivative_elementwise`` bit
-    for bit."""
-    return float(jacobian_product(kind, [x], [1.0])[0])
+    """An elementwise activation's derivative at one point."""
+    return float(_derivative(kind, [x])[0])
+
+
+def _derivative(kind, x):
+    """An elementwise activation's derivative at ``x``: its Jacobian product
+    with a unit upstream, which is the derivative bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    return jacobian_product(kind, x, np.ones(x.shape))
+
+
+def _sigmoid(x):
+    """The sigmoid of ``x`` through ``apply_matrix``."""
+    return apply_matrix(ActivationKind("sigmoid"), x)
 
 
 class TestKinds:
@@ -94,9 +101,9 @@ class TestScalarValues:
 
     def test_softmax_rejected_as_scalar(self):
         with pytest.raises(ValueError):
-            _apply_elementwise(ActivationKind("softmax"), np.ones(1))
+            apply_rows(ActivationKind("softmax"), np.ones(1), np.empty(1))
         with pytest.raises(ValueError):
-            _derivative_elementwise(ActivationKind("softmax"), np.ones(1))
+            activate_rows(ActivationKind("softmax"), np.ones(1), np.empty(1), np.empty(1))
 
 
 class TestScalarDerivatives:
@@ -196,7 +203,7 @@ class TestMatrixApplication:
 
 class TestMatrixDerivatives:
     def test_identity_gives_ones(self):
-        out = _derivative_elementwise(ActivationKind("identity"), np.zeros((2, 3)))
+        out = _derivative(ActivationKind("identity"), np.zeros((2, 3)))
         np.testing.assert_array_equal(out, np.ones((2, 3)))
 
     def test_softmax_jacobian_rows_sum_to_zero(self):
@@ -234,7 +241,7 @@ class TestMatrixDerivatives:
         kind = ActivationKind(name)
         h = 1e-6
         fd = (apply_matrix(kind, a + h) - apply_matrix(kind, a - h)) / (2 * h)
-        np.testing.assert_allclose(_derivative_elementwise(kind, a), fd, atol=1e-6)
+        np.testing.assert_allclose(_derivative(kind, a), fd, atol=1e-6)
 
 
 class TestJacobianProduct:
@@ -243,7 +250,7 @@ class TestJacobianProduct:
         pre = rng.normal(size=(3, 5))
         up = rng.normal(size=(3, 5))
         kind = ActivationKind("swish")
-        expected = _derivative_elementwise(kind, pre) * up
+        expected = _activate(kind, pre)[1] * up  # J as forward caches it
         np.testing.assert_array_equal(jacobian_product(kind, pre, up), expected)
 
     def test_softmax_matches_explicit_jacobian(self):
@@ -410,23 +417,78 @@ FINITE = st.one_of(EDGES, st.floats(allow_nan=False, allow_infinity=False,
                                     allow_subnormal=True))
 
 
+def _assert_matches_oracle(kind, x, z, j=None):
+    """Z (and J) of an elementwise ``kind`` at finite ``x`` against the test
+    oracle's activation table.
+
+    * sigmoid and swish meet the accuracy contract.
+    * relu, leaky_relu, prelu and identity evaluate the oracle's expression,
+      so Z matches it bit for bit; only relu keeps the sign of a zero s
+      (``np.maximum``), where the oracle's ``np.where`` writes +0.
+    * elu's oracle takes ``exp(min(s, 0)) - 1`` for ``expm1``.  For s > 0
+      both are s; for s <= 0 the kernel and the oracle each round a few
+      times on values below |beta|, within 0.75 and 1 EPS |beta|, so they
+      differ by at most 2 EPS |beta|.
+    * J is 1 where s > 0; elsewhere, the kink s = 0 included, it is the
+      left-hand slope: 0 for relu, beta for leaky_relu and prelu, 1 for
+      identity, and f(s) + beta for elu, within 2 EPS |beta| (the oracle's
+      sum adds a quarter ulp to its 1 EPS |beta|, the kernel's beta exp(s)
+      is within 0.75 EPS |beta|).  Where 1e-3 <= |s| <= 1e3, J also matches
+      the oracle's central difference with step 1e-6 |s|, which stays on
+      one side of the kink.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if kind.name in ("sigmoid", "swish"):
+        _assert_within_contract(kind.name, x, z, j)
+        return
+    f = ACTIVATIONS[kind.name]
+    want = np.array(f(x, kind.beta), dtype=np.float64)
+    pos = x > 0
+    bound = 2 * EPS * abs(kind.beta or 0.0)
+    if kind.name == "relu":
+        want[x == 0] = x[x == 0]
+    if kind.name == "elu":
+        _assert_same_bits(z[pos], want[pos])
+        assert (np.abs(z - want)[~pos] <= bound).all()
+    else:
+        _assert_same_bits(z, want)
+    if j is None:
+        return
+    left = {"relu": 0.0, "identity": 1.0}.get(kind.name, kind.beta)
+    _assert_same_bits(j[pos], np.ones(np.count_nonzero(pos)))
+    if kind.name == "elu":
+        assert (np.abs(j - (want + kind.beta))[~pos] <= bound).all()
+    else:
+        np.testing.assert_array_equal(j[~pos], left)
+    away = (1e-3 <= np.abs(x)) & (np.abs(x) <= 1e3)
+    h = 1e-6 * np.abs(x[away])
+    fd = (f(x[away] + h, kind.beta) - f(x[away] - h, kind.beta)) / (2 * h)
+    np.testing.assert_allclose(j[away], fd, rtol=0, atol=1e-6)
+
+
 class TestActivateRows:
     @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_matches_apply_and_derivative_matrix(self, name):
         kind = ActivationKind(name)
         pre = np.random.default_rng(12).normal(scale=4.0, size=(5, 7))
+        pre[0, :2] = 0.0, -0.0  # the kink
         z, j = _activate(kind, pre)
         _assert_same_bits(z, apply_matrix(kind, pre))
-        _assert_same_bits(j, _derivative_elementwise(kind, pre))
+        _assert_same_bits(j, _derivative(kind, pre))
+        _assert_matches_oracle(kind, pre, z, j)
 
     @pytest.mark.parametrize("name", ELEMENTWISE)
     @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
-                    elements=FINITE))
-    def test_matches_apply_and_derivative_matrix_bit_for_bit(self, name, x):
-        kind = ActivationKind(name)
+                    elements=FINITE),
+           slope=st.floats(2.0**-10, 1.0), negative=st.booleans())
+    def test_matches_apply_and_derivative_matrix_bit_for_bit(self, name, x, slope, negative):
+        # A drawn beta: positive for leaky_relu, of either sign for prelu and elu.
+        beta = -slope if negative and name != "leaky_relu" else slope
+        kind = ActivationKind(name, beta if name in ("leaky_relu", "prelu", "elu") else None)
         z, j = _activate(kind, x)
         _assert_same_bits(z, apply_matrix(kind, x))
-        _assert_same_bits(j, _derivative_elementwise(kind, x))
+        _assert_same_bits(j, _derivative(kind, x))
+        _assert_matches_oracle(kind, x, z, j)
 
     @pytest.mark.parametrize("name", ["sigmoid", "swish"])
     def test_bit_identical_to_jacobian_product(self, name):
@@ -507,10 +569,12 @@ class TestBlockedKernels:
         j = later.copy()
         activate_rows(kind, j, z, e)
         _assert_same_bits(z, apply_matrix(kind, later))
-        _assert_same_bits(j, _derivative_elementwise(kind, later))
+        _assert_same_bits(j, _derivative(kind, later))
+        _assert_matches_oracle(kind, later, z, j)
         s = first.copy()
         apply_rows(kind, s, e)
         _assert_same_bits(s, apply_matrix(kind, first))
+        _assert_matches_oracle(kind, first, s)
 
 
 class TestApplyRows:
@@ -519,7 +583,9 @@ class TestApplyRows:
     def test_bit_identical_to_apply_matrix(self, case, name):
         kind = ActivationKind(name)
         x = _boundary_case(case)
-        _assert_same_bits(_apply(kind, x), apply_matrix(kind, x))
+        z = _apply(kind, x)
+        _assert_same_bits(z, apply_matrix(kind, x))
+        _assert_matches_oracle(kind, x, z)
 
     def test_softmax_rejected(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,27 @@ class TestAnnTrain:
         # The sigmoid output in raw target units: no denormalization moved it.
         assert values.shape == (80, 1) and ((0 < values) & (values < 1)).all()
 
+    @pytest.mark.parametrize("loss, row, value", [
+        ("poisson", 3, "-0.8420294990318434"),  # the first target <= 0
+        ("msle", 5, "-2.410402920400275"),  # the first target <= -1
+    ], ids=["poisson", "msle"])
+    def test_target_outside_the_domain_names_its_data_row(self, tmp_path, capsys,
+                                                          loss, row, value):
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        y = x @ [1.0, -2.0, 0.5] + 0.1
+        data = tmp_path / "signed.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            ",".join(map(repr, r)) + "\n" for r in np.column_stack([x, y]).tolist()))
+        out = tmp_path / "net.json"
+        assert cli_main([
+            "ann-train", "--data", str(data), "--features", "a,b,c", "--targets", "y",
+            "--layers", "2:elu,1:identity", "--loss", loss, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": data row {row}, column 'y' = {value}\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_deterministic_model_files(self, tmp_path):
         data = _write_sine_csv(tmp_path)
         args = [
@@ -715,6 +736,24 @@ class TestOutputFiles:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert target.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv", "model.json", "pred.csv"]
+
+    @pytest.mark.parametrize("command", ["ols-fit", "predict"])
+    def test_output_that_is_a_directory_is_named(self, tmp_path, capsys, command):
+        data = _write_line_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert cli_main(["ols-fit", "--data", str(data), "--features", "x", "--targets", "y",
+                         "--out", str(model_path)]) == 0
+        out = tmp_path / "od"
+        out.mkdir()
+        argv = (["ols-fit", "--data", str(data), "--features", "x", "--targets", "y"]
+                if command == "ols-fit" else
+                ["predict", "--model", str(model_path), "--data", str(data)])
+        capsys.readouterr()
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno {errno.EISDIR}] Is a directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv", "model.json", "od"]
+        assert not any(out.iterdir())
 
     def test_missing_directory_error_names_the_output(self, tmp_path, capsys):
         data = _write_line_csv(tmp_path)
