@@ -91,14 +91,13 @@ def replacing_writer(path, newline: str | None = None):
     try:
         with open(fd, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
+        try:
+            os.replace(temp, path)
+        except OSError as exc:  # as above, for example when path is a directory
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(temp)
         raise
-    try:
-        os.replace(temp, path)
-    except OSError as exc:  # as above, for example when path is a directory
-        os.unlink(temp)
-        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def save_model(

@@ -10,7 +10,8 @@ from regkit.data import NormalizationStats
 from regkit.errors import DivergenceError, ModelFormatError
 from regkit.initializers import InitializerKind
 from regkit.losses import LossKind
-from regkit.model_io import FORMAT_VERSION, LoadedModel, load_model, predict_rows, save_model
+from regkit.model_io import (FORMAT_VERSION, LoadedModel, load_model, predict_rows,
+                             replacing_writer, save_model)
 from regkit.network import LayerSpec, NetworkConfig, init_network
 from regkit.network import predict as net_predict
 from regkit.ols import OlsModel
@@ -462,3 +463,19 @@ class TestModelWidths:
         if not columns:
             doc["normalization"][block].update(mean=[], std=[])
         self._rejects(path, doc, "normalization")
+
+
+class TestReplacingWriter:
+    def test_interrupted_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("earlier\n")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("regkit.model_io.os.replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            with replacing_writer(path) as handle:
+                handle.write("new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert path.read_text() == "earlier\n"
